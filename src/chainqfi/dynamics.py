@@ -97,38 +97,27 @@ def scaling_dimension(t: float, params: StarykhParams) -> float:
     return 0.25 * (1.0 - 1.0 / (2.0 * log_ratio))
 
 
-def _chi_imag_scalar(
-    omega: float, t: float, params: StarykhParams, units: UnitSystem
-) -> float:
+def chi_imag_starykh(
+    omega, t: float, params: StarykhParams, units: UnitSystem = DEFAULT_UNITS
+):
+    """Imaginary dynamic susceptibility chi''(omega, T), Bose factor cancelled.
+
+    Odd in omega (bitwise), exactly zero at omega = 0, nonnegative for
+    omega >= 0 on the admitted domain. ``omega`` may be a scalar (a float
+    is returned) or an array (meV); the temperature-dependent prefactor is
+    formed once per call.
+    """
     log_ratio = _log_cutoff_ratio(t, params)
     delta = 0.25 * (1.0 - 1.0 / (2.0 * log_ratio))
-    gamma_1m2d = math.exp(2.0 * specfun.log_gamma_complex(1.0 - 2.0 * delta).real)
     prefactor = (
         params.a_starykh
         / (math.pi * t)
         * 2.0 ** (2.0 * delta - 1.5)
         * math.sin(2.0 * math.pi * delta)
         * math.sqrt(log_ratio)
-        * gamma_1m2d
+        * math.exp(2.0 * math.lgamma(1.0 - 2.0 * delta))  # Gamma(1 - 2d)^2, 1 - 2d in (1/2, 1)
     )
     return prefactor * specfun.gamma_ratio_im(delta, omega, t, units)
-
-
-def chi_imag_starykh(
-    omega, t: float, params: StarykhParams, units: UnitSystem = DEFAULT_UNITS
-):
-    """Imaginary dynamic susceptibility chi''(omega, T), Bose factor cancelled.
-
-    Odd in omega, zero at omega = 0, nonnegative for omega >= 0 on the
-    admitted domain. ``omega`` may be a scalar or an array (meV).
-    """
-    omega_arr = np.asarray(omega, dtype=float)
-    if omega_arr.ndim == 0:
-        return _chi_imag_scalar(float(omega_arr), t, params, units)
-    out = np.empty(omega_arr.shape)
-    for idx, w in np.ndenumerate(omega_arr):
-        out[idx] = _chi_imag_scalar(float(w), t, params, units)
-    return out
 
 
 def sqw_starykh(
@@ -247,14 +236,14 @@ def fit_starykh(
     weight_blocks = [1.0 / np.where(c.errors > 0, c.errors, 1.0) for c in cuts]
 
     def residuals(p):
+        model_params = StarykhParams(
+            a_starykh=p["a_starykh"],
+            t0_kelvin=p["t0_kelvin"],
+            j_over_kb=initial.j_over_kb,
+            negative_log_policy=initial.negative_log_policy,
+        )
         blocks = []
         for k, cut in enumerate(cuts):
-            model_params = StarykhParams(
-                a_starykh=p["a_starykh"],
-                t0_kelvin=p["t0_kelvin"],
-                j_over_kb=initial.j_over_kb,
-                negative_log_policy=initial.negative_log_policy,
-            )
             model = p[cal_names[k]] * chi_imag_starykh(
                 cut.e_axis, cut.temperature, model_params, units
             )

@@ -100,3 +100,7 @@ class NegativeChiImagWarning(UserWarning):
 
 class TruncationWarning(UserWarning):
     """A non-negligible fraction of integral mass sits near the upper cutoff."""
+
+
+class QuadratureLimitWarning(UserWarning):
+    """Adaptive quadrature used its last panel before meeting the tolerance."""

@@ -253,14 +253,16 @@ def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
 
 
 def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
+    """One row per (E, Q) cell, E outer, each float in its shortest repr."""
+    q_reprs = [repr(q) for q in grid.q_axis.tolist()]
+    lines = [",".join(SQE_HEADER) + "\n"]
+    for e, row, err_row in zip(
+        grid.e_axis.tolist(), grid.intensity.tolist(), grid.errors.tolist()
+    ):
+        e_repr = repr(e)
+        lines += [f"{q},{e_repr},{v!r},{err!r}\n" for q, v, err in zip(q_reprs, row, err_row)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SQE_HEADER) + "\n")
-        for i, e in enumerate(grid.e_axis):
-            for j, q in enumerate(grid.q_axis):
-                fh.write(
-                    f"{float(q)!r},{float(e)!r},"
-                    f"{float(grid.intensity[i, j])!r},{float(grid.errors[i, j])!r}\n"
-                )
+        fh.write("".join(lines))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -381,16 +383,20 @@ class SynthConfig:
     resolution_fwhm: float = 0.0175
 
 
-def _magnetic_sqw(e: float, t: float, params: StarykhParams, units: UnitSystem) -> float:
-    if e != 0.0:
-        return dynamics.sqw_starykh(e, t, params, units)
-    # limit of chi''/(1 - exp(-E/kT)) at E = 0: kT * d(chi'')/dE
-    h = 1e-6
-    slope = (
-        dynamics.chi_imag_starykh(h, t, params, units)
-        - dynamics.chi_imag_starykh(-h, t, params, units)
-    ) / (2.0 * h)
-    return units.boltzmann_mev_per_kelvin * t * slope
+def _magnetic_sqw(
+    e: np.ndarray, t: float, params: StarykhParams, units: UnitSystem
+) -> np.ndarray:
+    """S(E) on an energy axis, with its finite limit at E = 0."""
+    out = np.empty(e.shape)
+    nonzero = e != 0.0
+    out[nonzero] = dynamics.sqw_starykh(e[nonzero], t, params, units)
+    if not nonzero.all():
+        # limit of chi''/(1 - exp(-E/kT)) at E = 0: kT * d(chi'')/dE, by a
+        # central difference; chi'' is odd, so (chi(h) - chi(-h)) / 2h = chi(h) / h
+        h = 1e-6
+        slope = dynamics.chi_imag_starykh(h, t, params, units) / h
+        out[~nonzero] = units.boltzmann_mev_per_kelvin * t * slope
+    return out
 
 
 def generate_synthetic_dataset(
@@ -435,11 +441,9 @@ def generate_synthetic_dataset(
 
     q_zc = math.pi / chain.lattice_c
 
-    def envelope(q: float) -> float:
+    def envelope(q):
         w = cfg.envelope_width
-        return math.exp(-0.5 * ((q - q_zc) / w) ** 2) + math.exp(
-            -0.5 * ((q + q_zc) / w) ** 2
-        )
+        return np.exp(-0.5 * ((q - q_zc) / w) ** 2) + np.exp(-0.5 * ((q + q_zc) / w) ** 2)
 
     # powder average of the envelope alone (separability makes this exact)
     env_grid = spinon.forward_powder_average(
@@ -455,7 +459,7 @@ def generate_synthetic_dataset(
     sigma_g = cfg.resolution_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     written = {"chi_csv": str(chi_path), "spectra": []}
     for t in temperatures:
-        sqw_e = np.array([_magnetic_sqw(float(e), t, starykh, units) for e in cfg.e_axis])
+        sqw_e = _magnetic_sqw(np.asarray(cfg.e_axis, dtype=float), t, starykh, units)
         counts = cfg.counts_scale * np.outer(sqw_e, env_pwd)
         counts += cfg.elastic_amplitude * np.exp(
             -0.5 * (np.asarray(cfg.e_axis) / sigma_g) ** 2

@@ -4,8 +4,10 @@ power-law scaling fit of its temperature dependence.
 F_Q(T) = (4/pi) * Integral_0^omega_max tanh(omega / 2 k_B T) chi''(omega, T) d omega
 
 Tabulated cuts are integrated with the trapezoid rule on their native
-grid (no resampling is invented); model closures go through adaptive
-quadrature. F_Q inherits the arbitrary intensity scale of the input.
+grid (no resampling is invented); model closures go through globally
+adaptive 10-point Gauss / 21-point Kronrod quadrature (``quadrature``),
+with a breakpoint at 0.9 omega_max so that the tail fraction comes from
+the same panels. F_Q inherits the arbitrary intensity scale of the input.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import quadrature
 from .core import DEFAULT_UNITS, EnergyCut, UnitSystem
 from .errors import GridTooCoarse, NegativeChiImagWarning, NonPositiveValue, TruncationWarning
 
@@ -126,17 +129,17 @@ def _qfi_tabulated(cut: EnergyCut, omega_max: float, units: UnitSystem) -> QfiPo
 
 
 def _qfi_model(
-    chi_fn: Callable[[float], float], t: float, omega_max: float, units: UnitSystem
+    chi_fn: Callable, t: float, omega_max: float, units: UnitSystem
 ) -> QfiPoint:
-    from scipy.integrate import quad
-
-    def integrand(w):
-        return math.tanh(w / (2.0 * units.boltzmann_mev_per_kelvin * t)) * chi_fn(w)
-
-    value, abserr = quad(integrand, 0.0, omega_max, epsrel=1e-8, epsabs=0.0, limit=200)
+    chi_nodes = quadrature.array_function(chi_fn)
     cut = (1.0 - _TAIL_FRACTION_OF_RANGE) * omega_max
-    tail_value, _ = quad(integrand, cut, omega_max, epsrel=1e-8, epsabs=0.0, limit=200)
-    tail = tail_value / value if value > 0 else 0.0
+    result = quadrature.gauss_kronrod(
+        lambda w: qfi_integrand(w, t, chi_nodes(w), units),
+        [0.0, cut, omega_max],
+        epsrel=1e-8,
+        what=f"F_Q at T = {t:g} K",
+    )
+    tail = math.fsum(result.values[result.lo >= cut]) / result.value if result.value > 0 else 0.0
     if tail > _TAIL_REPORT_THRESHOLD:
         warnings.warn(
             f"{100 * tail:.1f}% of F_Q mass lies in the top 10% of the omega range; "
@@ -147,8 +150,8 @@ def _qfi_model(
     scale = 4.0 / math.pi
     return QfiPoint(
         temperature=t,
-        f_q=scale * value,
-        quadrature_error_estimate=scale * abserr,
+        f_q=scale * result.value,
+        quadrature_error_estimate=scale * result.error,
         clipped_count=0,
         tail_fraction=float(tail),
     )
@@ -165,7 +168,12 @@ def compute_qfi(
     For an :class:`EnergyCut` the temperature is taken from the cut (an
     explicit ``t`` must agree) and negative bins are clipped to zero with
     a warning and a count on the returned point. A callable source is
-    integrated adaptively to 1e-8 relative and requires ``t``.
+    integrated by adaptive G10/K21 quadrature to 1e-8 relative and
+    requires ``t``. It is called with a 1-d array of omega nodes and
+    returns chi'' there; a callable that accepts only a float (found out
+    once per call) is evaluated node by node instead. If 200 panels do not
+    reach the tolerance, a :class:`QuadratureLimitWarning` names T and the
+    error reached.
     ``omega_max`` (meV) is mandatory; pi*J is the conventional choice.
     """
     if omega_max is None or not (omega_max > 0):

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadrature
 from .core import SpectrumGrid, _frozen_array
 from .errors import GridTooCoarse
 
@@ -130,22 +131,27 @@ def forward_powder_average(
     """Powder average of an even 1D scattering function.
 
     ``s_1d(q, e)`` must be even in q. Each grid cell is evaluated by
-    adaptive quadrature of (1/Q) Integral_0^Q s_1d. Doubles as the
-    synthetic-data engine and as the round-trip oracle for
+    adaptive G10/K21 quadrature of (1/Q) Integral_0^Q s_1d. ``s_1d`` is
+    called with a 1-d array of q nodes and a float e; one that accepts only
+    a float q (found out once per call) is evaluated node by node instead.
+    Doubles as the synthetic-data engine and as the round-trip oracle for
     :func:`powder_to_1d`.
     """
-    from scipy.integrate import quad
-
     q = np.asarray(q_axis, dtype=float)
     e = np.asarray(e_axis, dtype=float)
     if np.any(q <= 0):
         raise ValueError("q_axis must be strictly positive for the powder average")
+    s_nodes = quadrature.array_function(s_1d)
     intensity = np.empty((e.size, q.size))
-    for i, energy in enumerate(e):
-        for j, q_val in enumerate(q):
-            integral, _ = quad(
-                s_1d, 0.0, q_val, args=(energy,), epsabs=1e-12, epsrel=1e-10, limit=200
-            )
+    for i, energy in enumerate(e.tolist()):
+        for j, q_val in enumerate(q.tolist()):
+            integral = quadrature.gauss_kronrod(
+                lambda qq, energy=energy: s_nodes(qq, energy),
+                [0.0, q_val],
+                epsrel=1e-10,
+                epsabs=1e-12,
+                what=f"powder average at Q = {q_val:g}, E = {energy:g}",
+            ).value
             intensity[i, j] = integral / q_val
     return SpectrumGrid(
         q_axis=q,

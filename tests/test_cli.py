@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainqfi
 from chainqfi.cli import build_parser, main
 from chainqfi.core import ChainParameters, SpectrumGrid
 from chainqfi.pipeline_io import (
@@ -314,3 +318,50 @@ class TestCliContract:
                 == 0
             )
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from chainqfi.cli import main
+
+code = main(sys.argv[1:])
+assert "scipy" not in sys.modules
+sys.exit(code)
+"""
+
+
+class TestRuntimeWithoutScipy:
+    def run(self, *argv):
+        src = str(Path(chainqfi.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_blocker_blocks(self):
+        script = _WITHOUT_SCIPY.replace("from chainqfi", "import scipy\nfrom chainqfi")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode != 0 and "blocked" in done.stderr
+
+    def test_synth_and_model_qfi(self, tmp_path):
+        synth = self.run("synth", "--temps", "0.2,0.5", "--out", str(tmp_path / "data"),
+                         "--deterministic")
+        assert synth.returncode == 0, synth.stderr
+        qfi = self.run("qfi", "--model", "--policy", "absolute-value",
+                       "--out", str(tmp_path / "qfi"), "--deterministic")
+        assert qfi.returncode == 0, qfi.stderr
+        assert (tmp_path / "qfi" / "qfi_points.csv").exists()

@@ -235,3 +235,29 @@ class TestFeasibleInterval:
     def test_absolute_value_infeasible_initial(self):
         with pytest.raises(CutoffDomainError):
             t0_feasible_interval([1.2], "absolute_value", 1.2)
+
+
+class TestChiImagArrayKernel:
+    OMEGA = np.concatenate([np.geomspace(1e-6, 5.0, 200), [0.0, 1e-300, 7.3]])
+
+    @pytest.mark.parametrize("t", [0.02, 0.4, 3.0])
+    def test_odd_bitwise_and_zero_at_origin(self, t):
+        plus = chi_imag_starykh(self.OMEGA, t, ABS)
+        minus = chi_imag_starykh(-self.OMEGA, t, ABS)
+        assert np.array_equal(minus, -plus)
+        zero = chi_imag_starykh(0.0, t, ABS)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert math.copysign(1.0, float(chi_imag_starykh(np.array([0.0]), t, ABS)[0])) == 1.0
+
+    def test_scalar_equals_array_element_bitwise(self):
+        omega = np.concatenate([-self.OMEGA, self.OMEGA])
+        array = chi_imag_starykh(omega, 0.3, STRICT)
+        scalars = [chi_imag_starykh(w, 0.3, STRICT) for w in omega.tolist()]
+        assert all(isinstance(s, float) for s in scalars)
+        assert scalars == array.tolist()
+
+    def test_domain_errors_unchanged_for_arrays(self):
+        with pytest.raises(CutoffDomainError):
+            chi_imag_starykh(np.linspace(0.1, 1.0, 5), T0, STRICT)
+        with pytest.raises(NonPositiveTemperature):
+            chi_imag_starykh(np.linspace(0.1, 1.0, 5), 0.0, STRICT)

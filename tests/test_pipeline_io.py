@@ -146,6 +146,31 @@ class TestSpectrumCsv:
         np.testing.assert_array_equal(back.intensity, grid.intensity)
         np.testing.assert_array_equal(back.errors, grid.errors)
 
+    def test_bytes_match_per_cell_repr(self, tmp_path):
+        rng = np.random.default_rng(11)
+        intensity = rng.normal(size=(6, 9)) * 10.0 ** rng.integers(-8, 8, size=(6, 9))
+        intensity[0, :4] = [-0.0, 1e-300, 42.0, -7.0]
+        errors = np.abs(rng.normal(size=(6, 9)))
+        errors[1, :3] = [0.0, 1e300, 3.0]
+        grid = SpectrumGrid(
+            q_axis=np.array([0.1, 0.25, 0.5, 1.0, 1.2, 1.5, 2.0, 3.0, 4.0]),
+            e_axis=np.array([-0.5, -0.0, 1e-300, 0.1, 1.0, 2.0]),
+            intensity=intensity,
+            errors=errors,
+            temperature=0.5,
+        )
+        expected = "Q_invA,E_meV,intensity,error\n" + "".join(
+            f"{float(q)!r},{float(e)!r},"
+            f"{float(grid.intensity[i, j])!r},{float(grid.errors[i, j])!r}\n"
+            for i, e in enumerate(grid.e_axis)
+            for j, q in enumerate(grid.q_axis)
+        )
+        path = tmp_path / "sqe.csv"
+        write_spectrum_csv(path, grid)
+        assert path.read_bytes() == expected.encode("utf-8")
+        for token in (",-0.0,", ",1e-300,", ",42.0,", ",1e+300\n"):
+            assert token in expected
+
 
 class TestIntegrateQWindow:
     def test_constant_intensity(self):

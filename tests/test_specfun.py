@@ -130,3 +130,34 @@ class TestGammaRatioIm:
     def test_temperature_domain(self):
         with pytest.raises(NonPositiveTemperature):
             gamma_ratio_im(0.2, 0.1, 0.0)
+
+
+class TestArrayKernelOracle:
+    """The array kernel against mpmath at 30 digits."""
+
+    X = np.concatenate([np.logspace(-3, 3, 25), -np.logspace(-3, 3, 25)])
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.2, 0.249])
+    def test_against_mpmath(self, delta):
+        mpmath = pytest.importorskip("mpmath")
+        t = 0.7
+        omega = self.X * (4 * math.pi * KB * t)
+        got = gamma_ratio_im(delta, omega, t)
+        with mpmath.workdps(30):
+            d = mpmath.mpf(delta)
+            for w, value in zip(omega.tolist(), got.tolist()):
+                x = mpmath.mpf(w) / (4 * mpmath.pi * mpmath.mpf(KB) * mpmath.mpf(t))
+                ref = mpmath.exp(
+                    2 * (mpmath.loggamma(d - 1j * x) - mpmath.loggamma(1 - d - 1j * x))
+                ).imag
+                assert abs(value - float(ref)) <= 1e-11 * abs(float(ref))
+
+    def test_scalar_equals_array_element_bitwise(self):
+        omega = self.X * (4 * math.pi * KB * 0.3)
+        got = gamma_ratio_im(0.13, omega, 0.3)
+        assert [gamma_ratio_im(0.13, w, 0.3) for w in omega.tolist()] == got.tolist()
+        assert isinstance(gamma_ratio_im(0.13, 0.5, 0.3), float)
+
+    def test_array_shape_kept(self):
+        omega = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert gamma_ratio_im(0.2, omega, 1.0).shape == (3, 4)
