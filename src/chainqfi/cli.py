@@ -13,52 +13,17 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, pipeline_io, qfi, spinon, suscept
-from .core import ChainParameters, EnergyCut, kelvin_to_mev
+from .core import ChainParameters, kelvin_to_mev
 from .dynamics import StarykhParams
-from .errors import (
-    BoseFactorPole,
-    ChainQfiError,
-    CutoffDomainError,
-    DomainError,
-    DuplicateAbscissa,
-    ElasticWindowMissing,
-    EmptyFile,
-    FitDiverged,
-    GridTooCoarse,
-    IncompleteGrid,
-    NoInteriorMaximum,
-    NonPositiveValue,
-    ParseError,
-    SingularJacobian,
-    WindowOutsideGrid,
-)
-from .fitter import FitResult
+from .errors import ChainQfiError, FitDiverged, NoInteriorMaximum
 from .svgplot import Figure
-
-_CONFIG_ERRORS = (
-    ParseError,
-    DuplicateAbscissa,
-    EmptyFile,
-    IncompleteGrid,
-    WindowOutsideGrid,
-    ElasticWindowMissing,
-    FileNotFoundError,
-    ValueError,
-)
-_NUMERIC_ERRORS = (
-    FitDiverged,
-    SingularJacobian,
-    NoInteriorMaximum,
-    GridTooCoarse,
-    NonPositiveValue,
-)
-_POLICY_ERRORS = (CutoffDomainError, BoseFactorPole, DomainError)
 
 J_FROM_TMAX_NOTE = (
     "J/k_B is reported as the unrounded quotient T_max / 0.640851; for "
@@ -85,19 +50,9 @@ def _input_record(*paths) -> list[dict]:
     ]
 
 
-def _fit_result_dict(result: FitResult) -> dict:
-    return {
-        "parameters": result.parameters,
-        "errors": result.errors,
-        "covariance": np.asarray(result.covariance).tolist(),
-        "free_names": list(result.free_names),
-        "residual_norm": result.residual_norm,
-        "reduced_chi2": result.reduced_chi2,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "frozen_mask": result.frozen_mask,
-        "message": result.message,
-    }
+def _as_json(result) -> dict:
+    """A FitResult or ScalingFit as a JSON object, covariance as nested lists."""
+    return {**asdict(result), "covariance": np.asarray(result.covariance).tolist()}
 
 
 def _parse_freeze(fragments) -> dict[str, float]:
@@ -136,24 +91,13 @@ def cmd_fit_susceptibility(args) -> int:
     if not args.fit_c1:
         frozen.add("c1")
 
-    initial = ChainParameters(
-        j_over_kb=start["j_over_kb"],
-        g_factor=start["g_factor"],
-        c0=start["c0"],
-        c1=min(start["c1"], 0.0),
-    )
     result = suscept.fit_susceptibility(
-        curve, initial, frozen=frozen, impurity_curie=args.impurity_curie
+        curve, ChainParameters(**start), frozen=frozen, impurity_curie=args.impurity_curie
     )
     if not result.converged:
         raise FitDiverged("susceptibility fit did not converge: " + result.message)
 
-    fitted = ChainParameters(
-        j_over_kb=result.parameters["j_over_kb"],
-        g_factor=result.parameters["g_factor"],
-        c0=result.parameters["c0"],
-        c1=min(result.parameters["c1"], 0.0),
-    )
+    fitted = ChainParameters(**result.parameters)
     t_max_model, t_max_model_unc = suscept.find_tmax_model(fitted)
     try:
         t_max_data, t_max_data_unc = suscept.find_tmax(curve.temperatures, curve.chi)
@@ -162,7 +106,7 @@ def cmd_fit_susceptibility(args) -> int:
         t_max_data = t_max_data_unc = j_from_data = None
 
     report = {
-        "fit": _fit_result_dict(result),
+        "fit": _as_json(result),
         "t_max_model_K": t_max_model,
         "t_max_model_uncertainty_K": t_max_model_unc,
         "j_from_t_max_model_K": suscept.j_from_tmax(t_max_model),
@@ -239,123 +183,92 @@ def _write_qfi_points(path, points) -> None:
             )
 
 
+def _evaluate_qfi(sources, params: StarykhParams, omega_max: float):
+    """F_Q of each (temperature, chi'' source) pair plus the model chi'' curve
+    at that temperature; warnings are recorded rather than printed."""
+    points, curves = [], []
+    grid = np.linspace(0.0, omega_max, 241)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for t, source in sources:
+            points.append(qfi.compute_qfi(source, t=t, omega_max=omega_max))
+            curves.append((t, grid, dynamics.chi_imag_starykh(grid, t, params)))
+    return points, curves, [str(w.message) for w in caught]
+
+
+def _qfi_model_half(args, omega_max: float, report: dict):
+    """F_Q of the line-shape model at --temps."""
+    params = _model_params(args, _policy_from_flag(args.policy or "strict"))
+    temps = [float(s) for s in args.temps.split(",")]
+    sources = [(t, lambda w, t=t: dynamics.chi_imag_starykh(w, t, params)) for t in temps]
+    points, curves, report["warnings"] = _evaluate_qfi(sources, params, omega_max)
+    report.update(
+        mode="model",
+        model=asdict(params),
+        inputs=[],
+        negative_log_policy=params.negative_log_policy,
+    )
+    return points, curves, {}
+
+
+def _qfi_data_half(args, omega_max: float, report: dict):
+    """F_Q of reduced chi'' cuts, with a joint line-shape fit to the same cuts."""
+    cuts, elastic_records, spectra, policies = [], [], [], set()
+    for path in args.data:
+        manifest, grid, spectrum = pipeline_io.load_dataset(path)
+        rec = {"temperature_K": manifest.temperature_K}
+        cuts.append(pipeline_io.reduce_to_chi_imag(grid, manifest, record=rec))
+        elastic_records.append(rec)
+        spectra.append(spectrum)
+        policies.add(manifest.policies.get("negative_log_policy", "strict"))
+    if args.policy:
+        policy = _policy_from_flag(args.policy)
+    elif len(policies) > 1:
+        raise ValueError(
+            f"manifests disagree on negative_log_policy {sorted(policies)}; "
+            "pass --policy explicitly"
+        )
+    else:
+        policy = policies.pop()
+    params = _model_params(args, policy)
+
+    fit_result = dynamics.fit_starykh(cuts, params)
+    fitted = replace(
+        params,
+        a_starykh=fit_result.parameters["a_starykh"],
+        t0_kelvin=fit_result.parameters["t0_kelvin"],
+    )
+    sources = [(cut.temperature, cut) for cut in cuts]
+    points, curves, report["warnings"] = _evaluate_qfi(sources, fitted, omega_max)
+    report.update(
+        mode="data",
+        starykh_fit=_as_json(fit_result),
+        elastic_subtraction=elastic_records,
+        inputs=_input_record(*args.data) + spectra,
+        negative_log_policy=policy,
+    )
+    return points, curves, {cut.temperature: cut for cut in cuts}
+
+
 def cmd_qfi(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    policy = _policy_from_flag(args.policy) if args.policy else None
     omega_max = args.omega_max
     if omega_max is None:
         omega_max = math.pi * kelvin_to_mev(args.j_kelvin)
 
-    collected_warnings: list[str] = []
     report: dict = {"omega_max_meV": omega_max, "z": args.z}
-
-    if args.model:
-        policy = policy or "strict"
-        params = _model_params(args, policy)
-        temps = [float(s) for s in args.temps.split(",")]
-        points = []
-        model_curves = []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for t in temps:
-                point = qfi.compute_qfi(
-                    lambda w, t=t: dynamics.chi_imag_starykh(w, t, params),
-                    t=t,
-                    omega_max=omega_max,
-                )
-                points.append(point)
-                grid = np.linspace(0.0, omega_max, 241)
-                chi_curve = dynamics.chi_imag_starykh(grid, t, params)
-                model_curves.append((t, grid, chi_curve))
-            collected_warnings = [str(w.message) for w in caught]
-        report["mode"] = "model"
-        report["model"] = {
-            "a_starykh": params.a_starykh,
-            "t0_kelvin": params.t0_kelvin,
-            "j_over_kb": params.j_over_kb,
-            "negative_log_policy": params.negative_log_policy,
-        }
-        report["inputs"] = []
-        data_points_by_t = {}
+    if args.data:
+        points, model_curves, data_cuts = _qfi_data_half(args, omega_max, report)
+        _write_json(outdir / "fit_report.json", report["starykh_fit"])
     else:
-        manifests = [pipeline_io.DatasetManifest.load(p) for p in args.data]
-        manifest_policies = {m.policies.get("negative_log_policy", "strict") for m in manifests}
-        if policy is None:
-            if len(manifest_policies) > 1:
-                raise ValueError(
-                    f"manifests disagree on negative_log_policy {sorted(manifest_policies)}; "
-                    "pass --policy explicitly"
-                )
-            policy = manifest_policies.pop()
-        params = _model_params(args, policy)
-
-        cuts = []
-        elastic_records = []
-        input_files = list(args.data)
-        for manifest_path, manifest in zip(args.data, manifests):
-            base = Path(manifest_path).parent
-            sqe_path = base / manifest.inputs[0]["path"]
-            if pipeline_io.sha256_of(sqe_path) != manifest.inputs[0]["sha256"]:
-                raise ParseError(
-                    f"{sqe_path} does not match the sha256 recorded in {manifest_path}"
-                )
-            input_files.append(sqe_path)
-            grid = pipeline_io.read_spectrum_csv(sqe_path, manifest)
-            cut = pipeline_io.integrate_q_window(grid, *manifest.q_window)
-            rec: dict = {"temperature_K": manifest.temperature_K}
-            cut = pipeline_io.subtract_elastic_line(
-                cut, manifest.resolution_fwhm_meV, record=rec
-            )
-            elastic_records.append(rec)
-            cut = pipeline_io.apply_fluctuation_dissipation(cut)
-            cut = EnergyCut(
-                e_axis=cut.e_axis,
-                values=cut.values / manifest.calibration,
-                errors=cut.errors / manifest.calibration,
-                temperature=cut.temperature,
-            )
-            cuts.append(cut)
-
-        fit_result = dynamics.fit_starykh(cuts, params)
-        fitted = StarykhParams(
-            a_starykh=fit_result.parameters["a_starykh"],
-            t0_kelvin=fit_result.parameters["t0_kelvin"],
-            j_over_kb=args.j_kelvin,
-            negative_log_policy=policy,
-        )
-        points = []
-        model_curves = []
-        data_points_by_t = {}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for cut in cuts:
-                points.append(qfi.compute_qfi(cut, omega_max=omega_max))
-                grid_w = np.linspace(0.0, omega_max, 241)
-                model_curves.append(
-                    (cut.temperature, grid_w, dynamics.chi_imag_starykh(grid_w, cut.temperature, fitted))
-                )
-                data_points_by_t[cut.temperature] = cut
-            collected_warnings = [str(w.message) for w in caught]
-        report["mode"] = "data"
-        report["starykh_fit"] = _fit_result_dict(fit_result)
-        report["elastic_subtraction"] = elastic_records
-        report["inputs"] = _input_record(*input_files)
-        _write_json(outdir / "fit_report.json", _fit_result_dict(fit_result))
-
+        points, model_curves, data_cuts = _qfi_model_half(args, omega_max, report)
     _write_qfi_points(outdir / "qfi_points.csv", points)
 
     scaling = None
     if len(points) >= 3:
         scaling = qfi.fit_scaling(points, z=args.z)
-        report["scaling"] = {
-            "delta_q_over_z": scaling.delta_q_over_z,
-            "delta_q": scaling.delta_q,
-            "amplitude": scaling.amplitude,
-            "r_squared": scaling.r_squared,
-            "z": scaling.z,
-            "covariance": np.asarray(scaling.covariance).tolist(),
-        }
+        report["scaling"] = _as_json(scaling)
     else:
         report["scaling"] = None
         report["scaling_skipped_reason"] = (
@@ -371,8 +284,6 @@ def cmd_qfi(args) -> int:
         }
         for p in points
     ]
-    report["negative_log_policy"] = policy
-    report["warnings"] = collected_warnings
     _write_json(outdir / "qfi_report.json", report)
 
     # chi'' panels: model curve, tanh-weighted area, data points when present
@@ -383,8 +294,8 @@ def cmd_qfi(args) -> int:
         weighted = qfi.qfi_integrand(grid_w, t, chi_curve)
         fig.fill_under(grid_w, weighted, color=color, opacity=0.25)
         fig.line(grid_w, chi_curve, color=color, label=f"T = {t:g} K")
-        if data_points_by_t.get(t) is not None:
-            cut = data_points_by_t[t]
+        cut = data_cuts.get(t)
+        if cut is not None:
             mask = (cut.e_axis >= 0) & (cut.e_axis <= omega_max)
             fig.points(cut.e_axis[mask], cut.values[mask], color=color, radius=1.8)
     fig.render(outdir / "chi_imag.svg", timestamp=_timestamp(args))
@@ -410,33 +321,31 @@ def cmd_qfi(args) -> int:
 def cmd_spinon(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = pipeline_io.DatasetManifest.load(args.data)
-    if manifest.lattice_c_A is None:
+    manifest, grid, spectrum = pipeline_io.load_dataset(args.data)
+    lattice_c = manifest.lattice_c_A
+    if lattice_c is None:
         raise ValueError(
             f"manifest {args.data} has no lattice_c_A; the chain lattice parameter "
             "is required for the continuum bounds"
         )
-    base = Path(args.data).parent
-    sqe_path = base / manifest.inputs[0]["path"]
-    grid = pipeline_io.read_spectrum_csv(sqe_path, manifest)
 
     converted = spinon.powder_to_1d(grid)
     pipeline_io.write_spectrum_csv(outdir / "s1d.csv", converted)
 
     j_mev = kelvin_to_mev(args.j_kelvin)
-    bounds = spinon.continuum_bounds(converted.q_axis, j_mev, manifest.lattice_c_A)
-    zone_center_q = math.pi / manifest.lattice_c_A
-    e_upper_max = float(spinon.two_spinon_bounds(zone_center_q, j_mev, manifest.lattice_c_A)[1])
+    bounds = spinon.continuum_bounds(converted.q_axis, j_mev, lattice_c)
+    zone_center_q = math.pi / lattice_c
+    e_upper_max = float(spinon.two_spinon_bounds(zone_center_q, j_mev, lattice_c)[1])
 
     _write_json(
         outdir / "spinon_report.json",
         {
             "j_over_kb_K": args.j_kelvin,
             "j_meV": j_mev,
-            "lattice_c_A": manifest.lattice_c_A,
+            "lattice_c_A": lattice_c,
             "zone_center_q_invA": zone_center_q,
             "upper_bound_at_zone_center_meV": e_upper_max,
-            "inputs": _input_record(args.data, sqe_path),
+            "inputs": _input_record(args.data) + [spectrum],
         },
     )
 
@@ -453,7 +362,7 @@ def cmd_spinon(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    policy = _policy_from_flag(args.policy) if args.policy else "strict"
+    policy = _policy_from_flag(args.policy or "strict")
     chain = ChainParameters(
         j_over_kb=args.j_kelvin,
         g_factor=args.g,
@@ -461,13 +370,7 @@ def cmd_synth(args) -> int:
         c1=args.c1,
         lattice_c=args.lattice_c,
     )
-    t0 = args.t0_kelvin if args.t0_kelvin is not None else math.pi * args.j_kelvin / 8.0
-    starykh = StarykhParams(
-        a_starykh=args.a_starykh,
-        t0_kelvin=t0,
-        j_over_kb=args.j_kelvin,
-        negative_log_policy=policy,
-    )
+    starykh = _model_params(args, policy)
     config = pipeline_io.SynthConfig(
         sample=args.sample,
         seed=args.seed,
@@ -593,13 +496,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _POLICY_ERRORS as exc:
+    except ChainQfiError as exc:
         _emit_error(exc)
-        return 4
-    except _NUMERIC_ERRORS as exc:
-        _emit_error(exc)
-        return 3
-    except _CONFIG_ERRORS + (ChainQfiError,) as exc:
+        return exc.exit_code
+    except (OSError, ValueError) as exc:
         _emit_error(exc)
         return 2
 

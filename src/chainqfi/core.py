@@ -68,11 +68,22 @@ def mev_to_kelvin(e, units: UnitSystem = DEFAULT_UNITS):
     return float(out) if out.ndim == 0 else out
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    arr = np.array(arr, copy=True)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _freeze(obj, *names) -> None:
+    """Replace the named fields of a frozen dataclass with read-only float copies."""
+    for name in names:
+        object.__setattr__(obj, name, _frozen_array(getattr(obj, name)))
+
+
+def _freeze_temperature(obj) -> None:
+    if not (np.isfinite(obj.temperature) and obj.temperature > 0):
+        raise NonPositiveTemperature(f"temperature must be positive, got {obj.temperature}")
+    object.__setattr__(obj, "temperature", float(obj.temperature))
 
 
 def _require_strictly_increasing(axis: np.ndarray, name: str) -> None:
@@ -128,34 +139,21 @@ class SpectrumGrid:
     temperature: float
 
     def __post_init__(self):
-        q = _frozen_array(self.q_axis, "q_axis")
-        e = _frozen_array(self.e_axis, "e_axis")
-        inten = _frozen_array(self.intensity, "intensity")
-        err = _frozen_array(self.errors, "errors")
-        _require_strictly_increasing(q, "q_axis")
-        _require_strictly_increasing(e, "e_axis")
-        expected = (e.size, q.size)
-        if inten.shape != expected:
-            raise ShapeMismatch(
-                f"intensity shape {inten.shape} does not match (n_e, n_q) = {expected}"
-            )
-        if err.shape != expected:
-            raise ShapeMismatch(
-                f"errors shape {err.shape} does not match (n_e, n_q) = {expected}"
-            )
-        if np.any(np.isnan(inten)):
+        _freeze(self, "q_axis", "e_axis", "intensity", "errors")
+        _require_strictly_increasing(self.q_axis, "q_axis")
+        _require_strictly_increasing(self.e_axis, "e_axis")
+        expected = (self.e_axis.size, self.q_axis.size)
+        for name in ("intensity", "errors"):
+            shape = getattr(self, name).shape
+            if shape != expected:
+                raise ShapeMismatch(
+                    f"{name} shape {shape} does not match (n_e, n_q) = {expected}"
+                )
+        if np.any(np.isnan(self.intensity)):
             raise ValueError("intensity contains NaN")
-        if np.any(err < 0) or np.any(np.isnan(err)):
+        if np.any(self.errors < 0) or np.any(np.isnan(self.errors)):
             raise ValueError("errors must be nonnegative")
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise NonPositiveTemperature(
-                f"temperature must be positive, got {self.temperature}"
-            )
-        object.__setattr__(self, "q_axis", q)
-        object.__setattr__(self, "e_axis", e)
-        object.__setattr__(self, "intensity", inten)
-        object.__setattr__(self, "errors", err)
-        object.__setattr__(self, "temperature", float(self.temperature))
+        _freeze_temperature(self)
 
 
 def make_grid(q_axis, e_axis, intensity, errors, temperature) -> SpectrumGrid:
@@ -173,23 +171,13 @@ class EnergyCut:
     temperature: float
 
     def __post_init__(self):
-        e = _frozen_array(self.e_axis, "e_axis")
-        v = _frozen_array(self.values, "values")
-        s = _frozen_array(self.errors, "errors")
-        _require_strictly_increasing(e, "e_axis")
-        if v.shape != e.shape:
-            raise ShapeMismatch("values shape does not match e_axis")
-        if s.shape != e.shape:
-            raise ShapeMismatch("errors shape does not match e_axis")
-        if np.any(np.isnan(v)):
+        _freeze(self, "e_axis", "values", "errors")
+        _require_strictly_increasing(self.e_axis, "e_axis")
+        for name in ("values", "errors"):
+            if getattr(self, name).shape != self.e_axis.shape:
+                raise ShapeMismatch(f"{name} shape does not match e_axis")
+        if np.any(np.isnan(self.values)):
             raise ValueError("values contain NaN")
-        if np.any(s < 0) or np.any(np.isnan(s)):
+        if np.any(self.errors < 0) or np.any(np.isnan(self.errors)):
             raise ValueError("errors must be nonnegative")
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise NonPositiveTemperature(
-                f"temperature must be positive, got {self.temperature}"
-            )
-        object.__setattr__(self, "e_axis", e)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "errors", s)
-        object.__setattr__(self, "temperature", float(self.temperature))
+        _freeze_temperature(self)

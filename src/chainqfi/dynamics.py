@@ -36,6 +36,7 @@ __all__ = [
     "scaling_dimension",
     "sqw_starykh",
     "chi_imag_from_sqw",
+    "detailed_balance",
     "chi_imag_starykh",
     "fit_starykh",
     "t0_feasible_interval",
@@ -132,19 +133,20 @@ def sqw_starykh(
     omega_arr = np.asarray(omega, dtype=float)
     if np.any(omega_arr == 0.0):
         raise BoseFactorPole("S(Q, omega) has a Bose-factor pole at omega = 0")
-    kt = units.boltzmann_mev_per_kelvin * t
-    bose_weight = -np.expm1(-omega_arr / kt)  # 1 - exp(-omega/kT)
-    out = chi_imag_starykh(omega_arr, t, params, units) / bose_weight
+    out = chi_imag_starykh(omega_arr, t, params, units) / detailed_balance(omega_arr, t, units)
     return float(out) if omega_arr.ndim == 0 else out
+
+
+def detailed_balance(omega, t: float, units: UnitSystem = DEFAULT_UNITS) -> np.ndarray:
+    """The fluctuation-dissipation factor 1 - exp(-omega/k_B T) = chi''/S."""
+    return -np.expm1(-np.asarray(omega, dtype=float) / (units.boltzmann_mev_per_kelvin * t))
 
 
 def chi_imag_from_sqw(s_value, omega, t: float, units: UnitSystem = DEFAULT_UNITS):
     """Fluctuation-dissipation conversion chi'' = (1 - exp(-omega/k_B T)) S."""
     if not (t > 0):
         raise NonPositiveTemperature(f"temperature must be positive, got {t}")
-    omega_arr = np.asarray(omega, dtype=float)
-    kt = units.boltzmann_mev_per_kelvin * t
-    out = -np.expm1(-omega_arr / kt) * np.asarray(s_value, dtype=float)
+    out = detailed_balance(omega, t, units) * np.asarray(s_value, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

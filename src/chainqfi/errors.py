@@ -1,8 +1,15 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every error class carries the process exit code the command line returns
+for it: 2 input or configuration error, 3 numerical failure, 4
+domain-policy error.
+"""
 
 
 class ChainQfiError(Exception):
     """Base class for all errors raised by chainqfi."""
+
+    exit_code = 2
 
 
 # --- construction / validation ---
@@ -26,21 +33,21 @@ class PoleAtNonPositiveInteger(ChainQfiError):
 
 
 class DomainError(ChainQfiError):
-    pass
+    exit_code = 4
 
 
 # --- fitting ---
 
 class FitDiverged(ChainQfiError):
-    pass
+    exit_code = 3
 
 
 class SingularJacobian(ChainQfiError):
-    pass
+    exit_code = 3
 
 
 class NoInteriorMaximum(ChainQfiError):
-    pass
+    exit_code = 3
 
 
 # --- line-shape / model evaluation ---
@@ -49,17 +56,19 @@ class CutoffDomainError(ChainQfiError):
     """Temperature is incompatible with the high-energy cutoff under the
     active negative-log policy."""
 
+    exit_code = 4
+
 
 class BoseFactorPole(ChainQfiError):
-    pass
+    exit_code = 4
 
 
 class GridTooCoarse(ChainQfiError):
-    pass
+    exit_code = 3
 
 
 class NonPositiveValue(ChainQfiError):
-    pass
+    exit_code = 3
 
 
 # --- file ingestion ---

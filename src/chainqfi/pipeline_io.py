@@ -7,7 +7,8 @@ File formats (UTF-8 CSV, decimal point, no thousands separators):
 * ``sqe.csv``: header ``Q_invA,E_meV,intensity,error``, long format,
   rectangular completeness required.
 * ``manifest.json``: keys {sample, temperature_K, resolution_fwhm_meV,
-  q_window, lattice_c_A, calibration, policies, inputs}.
+  q_window, lattice_c_A, calibration, policies, inputs}, each checked
+  against ``_MANIFEST_RULES``; ``inputs`` names exactly one spectrum.
 
 Floats are written with ``repr`` so write-then-read round-trips are
 bit-exact.
@@ -18,10 +19,11 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +48,9 @@ from .suscept import SusceptibilityCurve, chi_full
 
 __all__ = [
     "DatasetManifest",
+    "Dataset",
+    "load_dataset",
+    "reduce_to_chi_imag",
     "sha256_of",
     "read_susceptibility_csv",
     "write_susceptibility_csv",
@@ -61,17 +66,6 @@ __all__ = [
 CHI_HEADER = ["T_K", "chi_emu_per_mol", "sigma"]
 SQE_HEADER = ["Q_invA", "E_meV", "intensity", "error"]
 
-MANIFEST_KEYS = (
-    "sample",
-    "temperature_K",
-    "resolution_fwhm_meV",
-    "q_window",
-    "lattice_c_A",
-    "calibration",
-    "policies",
-    "inputs",
-)
-
 
 def sha256_of(path) -> str:
     h = hashlib.sha256()
@@ -81,9 +75,53 @@ def sha256_of(path) -> str:
     return h.hexdigest()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+# field -> (what it must be, check); every manifest field is checked
+_MANIFEST_RULES = {
+    "sample": ("a string", lambda v: isinstance(v, str)),
+    "temperature_K": ("a finite number > 0", _is_positive),
+    "resolution_fwhm_meV": ("a finite number > 0", _is_positive),
+    "q_window": (
+        "two increasing finite numbers",
+        lambda v: isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(map(_is_number, v))
+        and v[0] < v[1],
+    ),
+    "lattice_c_A": ("null or a finite number > 0", lambda v: v is None or _is_positive(v)),
+    "calibration": ("a finite number > 0", _is_positive),
+    "policies": (
+        f"an object whose negative_log_policy is one of {dynamics.POLICIES}",
+        lambda v: isinstance(v, dict)
+        and v.get("negative_log_policy", "strict") in dynamics.POLICIES,
+    ),
+    "inputs": (
+        "a list of objects with a string 'path' and 'sha256'",
+        lambda v: isinstance(v, list)
+        and all(
+            isinstance(e, dict) and isinstance(e.get("path"), str)
+            and isinstance(e.get("sha256"), str)
+            for e in v
+        ),
+    ),
+}
+
+
 @dataclass
 class DatasetManifest:
-    """Provenance and reduction settings for one measured dataset."""
+    """Provenance and reduction settings for one measured dataset.
+
+    Construction checks every field against ``_MANIFEST_RULES``; ``load``
+    also requires exactly one entry in ``inputs`` and reports any fault as
+    a :class:`ParseError` naming the file and the field.
+    """
 
     sample: str
     temperature_K: float
@@ -100,49 +138,61 @@ class DatasetManifest:
     inputs: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        lo, hi = self.q_window
-        if not (lo < hi):
-            raise ValueError(f"q_window must satisfy min < max, got {self.q_window}")
-        if not (self.resolution_fwhm_meV > 0):
-            raise ValueError("resolution_fwhm_meV must be positive")
-        for entry in self.inputs:
-            if "path" not in entry or "sha256" not in entry:
-                raise ValueError("every manifest input needs 'path' and 'sha256'")
-
-    def to_dict(self) -> dict:
-        return {
-            "sample": self.sample,
-            "temperature_K": self.temperature_K,
-            "resolution_fwhm_meV": self.resolution_fwhm_meV,
-            "q_window": list(self.q_window),
-            "lattice_c_A": self.lattice_c_A,
-            "calibration": self.calibration,
-            "policies": dict(self.policies),
-            "inputs": [dict(entry) for entry in self.inputs],
-        }
+        for name, (rule, check) in _MANIFEST_RULES.items():
+            if not check(getattr(self, name)):
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name in ("temperature_K", "resolution_fwhm_meV", "calibration"):
+            setattr(self, name, float(getattr(self, name)))
+        if self.lattice_c_A is not None:
+            self.lattice_c_A = float(self.lattice_c_A)
+        self.q_window = tuple(float(v) for v in self.q_window)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        missing = [k for k in MANIFEST_KEYS if k not in data]
-        if missing:
-            raise ParseError(f"manifest {path} missing keys {missing}")
-        return cls(
-            sample=data["sample"],
-            temperature_K=float(data["temperature_K"]),
-            resolution_fwhm_meV=float(data["resolution_fwhm_meV"]),
-            q_window=tuple(float(v) for v in data["q_window"]),
-            lattice_c_A=None if data["lattice_c_A"] is None else float(data["lattice_c_A"]),
-            calibration=float(data["calibration"]),
-            policies=dict(data["policies"]),
-            inputs=[dict(e) for e in data["inputs"]],
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise TypeError("the manifest must be a JSON object")
+            missing = [k for k in _MANIFEST_RULES if k not in data]
+            if missing:
+                raise ValueError(f"missing keys {missing}")
+            manifest = cls(**{k: data[k] for k in _MANIFEST_RULES})
+            if len(manifest.inputs) != 1:
+                raise ValueError(
+                    f"inputs must hold exactly one entry, got {len(manifest.inputs)}"
+                )
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"manifest {path}: {exc}") from None
+        return manifest
+
+
+class Dataset(NamedTuple):
+    """A manifest, its spectrum, and the spectrum's verified provenance record."""
+
+    manifest: DatasetManifest
+    grid: SpectrumGrid
+    spectrum_record: dict
+
+
+def load_dataset(manifest_path) -> Dataset:
+    """Read a manifest, check its one input against the recorded sha256,
+    and read that spectrum."""
+    manifest = DatasetManifest.load(manifest_path)
+    entry = manifest.inputs[0]
+    spectrum_path = Path(manifest_path).parent / entry["path"]
+    digest = sha256_of(spectrum_path)
+    if digest != entry["sha256"]:
+        raise ParseError(
+            f"{spectrum_path} does not match the sha256 recorded in {manifest_path}"
         )
+    grid = read_spectrum_csv(spectrum_path, manifest)
+    return Dataset(manifest, grid, {"path": str(spectrum_path), "sha256": digest})
 
 
 def _parse_float(token: str, line_no: int, column: str) -> float:
@@ -341,13 +391,28 @@ def apply_fluctuation_dissipation(
     cut: EnergyCut, units: UnitSystem = DEFAULT_UNITS
 ) -> EnergyCut:
     """Convert an S(E) cut to chi''(E) bin by bin; errors scale with the factor."""
-    factor = -np.expm1(
-        -cut.e_axis / (units.boltzmann_mev_per_kelvin * cut.temperature)
-    )
+    factor = dynamics.detailed_balance(cut.e_axis, cut.temperature, units)
     return EnergyCut(
         e_axis=cut.e_axis,
         values=factor * cut.values,
         errors=np.abs(factor) * cut.errors,
+        temperature=cut.temperature,
+    )
+
+
+def reduce_to_chi_imag(
+    grid: SpectrumGrid, manifest: DatasetManifest, record: dict | None = None
+) -> EnergyCut:
+    """The calibrated chi''(E) cut of one dataset: Q-window integral, elastic
+    line subtraction (fit stored in ``record``), fluctuation-dissipation,
+    and division by the manifest's calibration."""
+    cut = integrate_q_window(grid, *manifest.q_window)
+    cut = subtract_elastic_line(cut, manifest.resolution_fwhm_meV, record=record)
+    cut = apply_fluctuation_dissipation(cut)
+    return EnergyCut(
+        e_axis=cut.e_axis,
+        values=cut.values / manifest.calibration,
+        errors=cut.errors / manifest.calibration,
         temperature=cut.temperature,
     )
 
@@ -505,20 +570,8 @@ def generate_synthetic_dataset(
         "noise_level": cfg.noise_level,
         "chi_noise_level": cfg.chi_noise_level,
         "counts_scale": cfg.counts_scale,
-        "chain": {
-            "j_over_kb": chain.j_over_kb,
-            "g_factor": chain.g_factor,
-            "spin": chain.spin,
-            "c0": chain.c0,
-            "c1": chain.c1,
-            "lattice_c": chain.lattice_c,
-        },
-        "starykh": {
-            "a_starykh": starykh.a_starykh,
-            "t0_kelvin": starykh.t0_kelvin,
-            "j_over_kb": starykh.j_over_kb,
-            "negative_log_policy": starykh.negative_log_policy,
-        },
+        "chain": asdict(chain),
+        "starykh": asdict(starykh),
         "temperatures": [float(t) for t in temperatures],
         "q_window": list(cfg.q_window),
         "envelope_width": cfg.envelope_width,

@@ -66,6 +66,16 @@ def qfi_integrand(omega, t: float, chi_imag, units: UnitSystem = DEFAULT_UNITS):
     return float(out) if out.ndim == 0 else out
 
 
+def _warn_if_truncated(tail: float) -> None:
+    if tail > _TAIL_REPORT_THRESHOLD:
+        warnings.warn(
+            f"{100 * tail:.1f}% of F_Q mass lies in the top 10% of the omega range; "
+            "the integral may be truncated",
+            TruncationWarning,
+            stacklevel=4,
+        )
+
+
 def _trapezoid_tail_fraction(e: np.ndarray, integrand: np.ndarray, omega_max: float) -> float:
     total = np.trapezoid(integrand, e)
     if total <= 0:
@@ -112,13 +122,7 @@ def _qfi_tabulated(cut: EnergyCut, omega_max: float, units: UnitSystem) -> QfiPo
         coarse_idx = np.concatenate((coarse_idx, [e.size - 1]))
     f_half = (4.0 / math.pi) * float(np.trapezoid(integrand[coarse_idx], e[coarse_idx]))
     tail = _trapezoid_tail_fraction(e, integrand, omega_max)
-    if tail > _TAIL_REPORT_THRESHOLD:
-        warnings.warn(
-            f"{100 * tail:.1f}% of F_Q mass lies in the top 10% of the omega range; "
-            "the integral may be truncated",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    _warn_if_truncated(tail)
     return QfiPoint(
         temperature=cut.temperature,
         f_q=f_q,
@@ -140,13 +144,7 @@ def _qfi_model(
         what=f"F_Q at T = {t:g} K",
     )
     tail = math.fsum(result.values[result.lo >= cut]) / result.value if result.value > 0 else 0.0
-    if tail > _TAIL_REPORT_THRESHOLD:
-        warnings.warn(
-            f"{100 * tail:.1f}% of F_Q mass lies in the top 10% of the omega range; "
-            "the integral may be truncated",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    _warn_if_truncated(tail)
     scale = 4.0 / math.pi
     return QfiPoint(
         temperature=t,

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .core import SpectrumGrid, _frozen_array
+from .core import SpectrumGrid, _freeze
 from .errors import GridTooCoarse
 
 __all__ = [
@@ -44,9 +44,7 @@ class ContinuumBounds:
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q_axis", _frozen_array(self.q_axis, "q_axis"))
-        object.__setattr__(self, "lower", _frozen_array(self.lower, "lower"))
-        object.__setattr__(self, "upper", _frozen_array(self.upper, "upper"))
+        _freeze(self, "q_axis", "lower", "upper")
 
 
 def two_spinon_bounds(q_1d, j_mev: float, c: float):

@@ -14,7 +14,8 @@ from typing import Iterable
 import numpy as np
 
 from . import fitter
-from .core import DEFAULT_UNITS, ChainParameters, UnitSystem, _frozen_array, _require_strictly_increasing
+from .core import DEFAULT_UNITS, ChainParameters, UnitSystem
+from .core import _freeze, _frozen_array, _require_strictly_increasing
 from .errors import NonPositiveTemperature, NoInteriorMaximum
 
 __all__ = [
@@ -54,19 +55,15 @@ class SusceptibilityCurve:
     sigma: np.ndarray
 
     def __post_init__(self):
-        t = _frozen_array(self.temperatures, "temperatures")
-        c = _frozen_array(self.chi, "chi")
-        s = _frozen_array(self.sigma, "sigma")
+        _freeze(self, "temperatures", "chi", "sigma")
+        t = self.temperatures
         _require_strictly_increasing(t, "temperatures")
         if np.any(t <= 0):
             raise NonPositiveTemperature("curve temperatures must be positive")
-        if c.shape != t.shape or s.shape != t.shape:
+        if self.chi.shape != t.shape or self.sigma.shape != t.shape:
             raise ValueError("temperatures, chi, sigma must have equal length")
-        if np.any(s < 0):
+        if np.any(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
-        object.__setattr__(self, "temperatures", t)
-        object.__setattr__(self, "chi", c)
-        object.__setattr__(self, "sigma", s)
 
     def __len__(self):
         return self.temperatures.size
@@ -95,20 +92,25 @@ def _as_temperature_array(t):
     return arr
 
 
+def _chain(t, j_over_kb, g_factor, units: UnitSystem):
+    moment = g_factor * units.bohr_magneton
+    curie = units.avogadro * moment**2 / (units.boltzmann_erg_per_kelvin * t)
+    return curie * _pade(j_over_kb / t)
+
+
+def _chain_full(t, p, units: UnitSystem, impurity_curie: bool):
+    """chi_full on validated temperatures; ``p`` maps j_over_kb, g_factor, c0, c1."""
+    impurity = p["c0"] / t if impurity_curie else p["c0"]
+    return impurity + p["c1"] + _chain(t, p["j_over_kb"], p["g_factor"], units)
+
+
 def chi_bonner_fisher(t, params: ChainParameters, units: UnitSystem = DEFAULT_UNITS):
     """Uniform-chain susceptibility (emu/mole) at temperature ``t`` (K).
 
     Positive everywhere, Curie-like at high temperature, with a single
     maximum at T = 0.640851 J/k_B.
     """
-    arr = _as_temperature_array(t)
-    x = params.j_over_kb / arr
-    curie = (
-        units.avogadro
-        * (params.g_factor * units.bohr_magneton) ** 2
-        / (units.boltzmann_erg_per_kelvin * arr)
-    )
-    out = curie * _pade(x)
+    out = _chain(_as_temperature_array(t), params.j_over_kb, params.g_factor, units)
     return float(out) if out.ndim == 0 else out
 
 
@@ -124,9 +126,7 @@ def chi_full(
     literal constant ``c0``; with True it is read as a Curie coefficient
     and contributes ``c0 / t`` (c0 then in emu K/mole).
     """
-    arr = _as_temperature_array(t)
-    impurity = params.c0 / arr if impurity_curie else params.c0
-    out = impurity + params.c1 + chi_bonner_fisher(arr, params, units)
+    out = _chain_full(_as_temperature_array(t), vars(params), units, impurity_curie)
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,15 +152,7 @@ def fit_susceptibility(
     t = curve.temperatures
 
     def residuals(p):
-        x = p["j_over_kb"] / t
-        curie = (
-            units.avogadro
-            * (p["g_factor"] * units.bohr_magneton) ** 2
-            / (units.boltzmann_erg_per_kelvin * t)
-        )
-        impurity = p["c0"] / t if impurity_curie else p["c0"]
-        model = impurity + p["c1"] + curie * _pade(x)
-        return (model - curve.chi) * weights
+        return (_chain_full(t, p, units, impurity_curie) - curve.chi) * weights
 
     start = {
         "j_over_kb": initial.j_over_kb,
@@ -246,6 +238,4 @@ def witness_mwse(
         if mw[i] < 0.0 <= mw[i + 1]:
             t_se = float(t[i] + (0.0 - mw[i]) * (t[i + 1] - t[i]) / (mw[i + 1] - mw[i]))
             break
-    frozen_mw = np.array(mw, copy=True)
-    frozen_mw.flags.writeable = False
-    return WitnessSeries(temperatures=t, mw_se=frozen_mw, t_se=t_se)
+    return WitnessSeries(temperatures=t, mw_se=_frozen_array(mw), t_se=t_se)

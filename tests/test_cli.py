@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import chainqfi
+from chainqfi import cli
 from chainqfi.cli import build_parser, main
 from chainqfi.core import ChainParameters, SpectrumGrid
+from chainqfi.errors import ChainQfiError
 from chainqfi.pipeline_io import (
     DatasetManifest,
     SynthConfig,
@@ -365,3 +367,151 @@ class TestRuntimeWithoutScipy:
                        "--out", str(tmp_path / "qfi"), "--deterministic")
         assert qfi.returncode == 0, qfi.stderr
         assert (tmp_path / "qfi" / "qfi_points.csv").exists()
+
+
+def single_error(capsys) -> dict:
+    """The one JSON error line a failing command leaves on stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+def rewrite_manifest(path, **changes):
+    data = json.loads(Path(path).read_text())
+    data.update(changes)
+    Path(path).write_text(json.dumps(data))
+
+
+class TestInputFaults:
+    """Each malformed input ends in its documented exit code and one JSON
+    line on stderr that names the file and, for manifests, the field."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return make_dataset(tmp_path / "data", temps=(0.5,))["spectra"][0]["manifest"]
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        return code, single_error(capsys)
+
+    @pytest.mark.parametrize("command", ["qfi", "spinon"])
+    def test_empty_inputs(self, manifest, tmp_path, capsys, command):
+        rewrite_manifest(manifest, inputs=[])
+        code, err = self.run([command, "--data", manifest, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert manifest in err["message"] and "inputs" in err["message"]
+
+    def test_two_inputs(self, manifest, tmp_path, capsys):
+        first = json.loads(Path(manifest).read_text())["inputs"][0]
+        rewrite_manifest(manifest, inputs=[first, {"path": "absent.csv", "sha256": "0" * 64}])
+        code, err = self.run(["qfi", "--data", manifest, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert manifest in err["message"] and "inputs" in err["message"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("temperature_K", None),
+            ("temperature_K", float("nan")),
+            ("calibration", 0),
+            ("calibration", -1),
+            ("q_window", [0.4]),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["qfi", "spinon"])
+    def test_bad_field(self, manifest, tmp_path, capsys, command, field, value):
+        rewrite_manifest(manifest, **{field: value})
+        code, err = self.run([command, "--data", manifest, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert manifest in err["message"] and field in err["message"]
+
+    @pytest.mark.parametrize("command", [["fit-susceptibility"], ["witness", "--g", "2.1"]])
+    def test_directory_as_chi_csv(self, tmp_path, capsys, command):
+        argv = [command[0], str(tmp_path), *command[1:], "--out", str(tmp_path / "o")]
+        code, err = self.run(argv, capsys)
+        assert code == 2
+        assert err["error"] == "IsADirectoryError"
+        assert str(tmp_path) in err["message"]
+
+    def test_tampered_spectrum_under_spinon(self, manifest, tmp_path, capsys):
+        sqe = Path(manifest).parent / json.loads(Path(manifest).read_text())["inputs"][0]["path"]
+        with open(sqe, "a") as fh:
+            fh.write("\n")
+        code, err = self.run(["spinon", "--data", manifest, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert str(sqe) in err["message"] and manifest in err["message"]
+
+    def test_spinon_records_the_verified_hash(self, manifest, tmp_path):
+        out = tmp_path / "o"
+        assert main(["spinon", "--data", manifest, "--out", str(out), "--deterministic"]) == 0
+        entry = json.loads(Path(manifest).read_text())["inputs"][0]
+        inputs = json.loads((out / "spinon_report.json").read_text())["inputs"]
+        assert [i["sha256"] for i in inputs] == [sha256_of(manifest), entry["sha256"]]
+
+    @pytest.mark.parametrize("flag", ["--c10=0.002", "--freeze=C1=0.002"])
+    def test_positive_c1_is_refused(self, tmp_path, capsys, flag):
+        chi_csv = write_chi(tmp_path / "chi.csv", n=30)
+        code, err = self.run(
+            ["fit-susceptibility", str(chi_csv), flag, "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert "c1" in err["message"]
+        assert not (tmp_path / "o" / "fit_report.json").exists()
+
+
+# exit code of each error class under the three tuples cli.main used to keep
+# (_POLICY_ERRORS -> 4, _NUMERIC_ERRORS -> 3, everything else -> 2)
+OLD_EXIT_CODES = {
+    "AxisNotMonotone": 2,
+    "ShapeMismatch": 2,
+    "NonPositiveTemperature": 2,
+    "PoleAtNonPositiveInteger": 2,
+    "DomainError": 4,
+    "FitDiverged": 3,
+    "SingularJacobian": 3,
+    "NoInteriorMaximum": 3,
+    "CutoffDomainError": 4,
+    "BoseFactorPole": 4,
+    "GridTooCoarse": 3,
+    "NonPositiveValue": 3,
+    "ParseError": 2,
+    "DuplicateAbscissa": 2,
+    "EmptyFile": 2,
+    "IncompleteGrid": 2,
+    "WindowOutsideGrid": 2,
+    "ElasticWindowMissing": 2,
+}
+
+
+def error_classes(base=ChainQfiError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from error_classes(cls)
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        assert {cls.__name__ for cls in error_classes()} == set(OLD_EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", list(error_classes()), ids=lambda c: c.__name__)
+    def test_exit_code_unchanged(self, cls):
+        assert cls.exit_code == OLD_EXIT_CODES[cls.__name__]
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [(cls("boom"), cls.exit_code) for cls in error_classes()]
+        + [(FileNotFoundError("boom"), 2), (PermissionError("boom"), 2), (ValueError("boom"), 2)],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_main_returns_the_exit_code(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_witness", fail)
+        assert main(["witness", "chi.csv", "--g", "2.1"]) == code
+        assert single_error(capsys) == {"error": type(exc).__name__, "message": "boom"}

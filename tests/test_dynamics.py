@@ -261,3 +261,24 @@ class TestChiImagArrayKernel:
             chi_imag_starykh(np.linspace(0.1, 1.0, 5), T0, STRICT)
         with pytest.raises(NonPositiveTemperature):
             chi_imag_starykh(np.linspace(0.1, 1.0, 5), 0.0, STRICT)
+
+
+class TestDetailedBalance:
+    def test_fluctuation_dissipation_paths_agree_bitwise(self):
+        from chainqfi.dynamics import detailed_balance
+        from chainqfi.pipeline_io import apply_fluctuation_dissipation
+
+        e = np.linspace(-0.2, 1.0, 61)
+        s = np.abs(np.sin(7.0 * e)) + 0.1
+        cut = apply_fluctuation_dissipation(EnergyCut(e, s, 0.1 * s, 0.5))
+        np.testing.assert_array_equal(cut.values, chi_imag_from_sqw(s, e, 0.5))
+        np.testing.assert_array_equal(cut.values, detailed_balance(e, 0.5) * s)
+
+    def test_structure_factor_times_factor_is_chi_imag(self):
+        from chainqfi.dynamics import detailed_balance
+
+        omega = np.array([-0.3, -0.01, 0.02, 0.4])
+        sqw = sqw_starykh(omega, 0.5, STRICT)
+        np.testing.assert_allclose(
+            sqw * detailed_balance(omega, 0.5), chi_imag_starykh(omega, 0.5, STRICT), rtol=1e-15
+        )

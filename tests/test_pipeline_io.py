@@ -20,7 +20,10 @@ from chainqfi.pipeline_io import (
     apply_fluctuation_dissipation,
     generate_synthetic_dataset,
     integrate_q_window,
+    load_dataset,
     read_spectrum_csv,
+    reduce_to_chi_imag,
+    sha256_of,
     read_susceptibility_csv,
     subtract_elastic_line,
     write_spectrum_csv,
@@ -386,3 +389,101 @@ class TestSyntheticDataset:
         cut = apply_fluctuation_dissipation(integrate_q_window(grid, *manifest.q_window))
         model = chi_imag_starykh(cut.e_axis, 0.5, STARYKH)
         np.testing.assert_allclose(cut.values / manifest.calibration, model, rtol=1e-9)
+
+
+class TestManifestRules:
+    GOOD = dict(
+        sample="x", temperature_K=0.5, resolution_fwhm_meV=0.0175, q_window=(0.4, 1.1),
+        lattice_c_A=5.32, calibration=2.0, inputs=[{"path": "sqe.csv", "sha256": "0" * 64}],
+    )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample", None),
+            ("temperature_K", None),
+            ("temperature_K", float("nan")),
+            ("temperature_K", float("inf")),
+            ("temperature_K", 0.0),
+            ("temperature_K", True),
+            ("resolution_fwhm_meV", -0.01),
+            ("calibration", 0),
+            ("calibration", -1.0),
+            ("calibration", "1.0"),
+            ("lattice_c_A", -5.32),
+            ("q_window", (0.4,)),
+            ("q_window", (0.4, 1.1, 2.0)),
+            ("q_window", (0.4, float("nan"))),
+            ("q_window", "0.4,1.1"),
+            ("policies", None),
+            ("policies", {"negative_log_policy": "lenient"}),
+            ("inputs", None),
+            ("inputs", [{"path": "sqe.csv", "sha256": None}]),
+        ],
+    )
+    def test_construction_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DatasetManifest(**{**self.GOOD, field: value})
+
+    def test_json_integers_are_floats(self):
+        m = DatasetManifest(**{**self.GOOD, "calibration": 3, "q_window": [0, 1]})
+        assert m.calibration == 3.0 and isinstance(m.calibration, float)
+        assert m.q_window == (0.0, 1.0)
+
+    @pytest.mark.parametrize("inputs", [[], [{"path": "a", "sha256": "b"}] * 2])
+    def test_load_requires_exactly_one_input(self, tmp_path, inputs):
+        path = tmp_path / "manifest.json"
+        DatasetManifest(**{**self.GOOD, "inputs": inputs}).save(path)
+        with pytest.raises(ParseError, match="inputs must hold exactly one entry"):
+            DatasetManifest.load(path)
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", "3"])
+    def test_load_names_the_file_for_malformed_json(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="manifest.json"):
+            DatasetManifest.load(path)
+
+    def test_load_reports_field_with_path(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        DatasetManifest(**self.GOOD).save(path)
+        data = json.loads(path.read_text())
+        data["calibration"] = 0
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as info:
+            DatasetManifest.load(path)
+        assert str(path) in str(info.value) and "calibration" in str(info.value)
+
+
+class TestLoadAndReduce:
+    @pytest.fixture
+    def spectrum(self, tmp_path):
+        cfg = small_config(elastic_amplitude=50.0, flat_background=2.0)
+        written = generate_synthetic_dataset(CHAIN, STARYKH, [0.5], tmp_path, config=cfg)
+        return written["spectra"][0]
+
+    def test_loader_returns_verified_hash(self, spectrum):
+        data = load_dataset(spectrum["manifest"])
+        assert data.spectrum_record == {
+            "path": spectrum["sqe_csv"], "sha256": sha256_of(spectrum["sqe_csv"]),
+        }
+        assert data.grid.temperature == 0.5
+        assert data.manifest == DatasetManifest.load(spectrum["manifest"])
+
+    def test_loader_rejects_tampered_spectrum(self, spectrum):
+        with open(spectrum["sqe_csv"], "a") as fh:
+            fh.write("\n")
+        with pytest.raises(ParseError, match="sha256"):
+            load_dataset(spectrum["manifest"])
+
+    def test_reduction_is_the_step_by_step_chain(self, spectrum):
+        data = load_dataset(spectrum["manifest"])
+        m = data.manifest
+        record = {}
+        cut = reduce_to_chi_imag(data.grid, m, record=record)
+        step = integrate_q_window(data.grid, *m.q_window)
+        step = subtract_elastic_line(step, m.resolution_fwhm_meV)
+        step = apply_fluctuation_dissipation(step)
+        np.testing.assert_array_equal(cut.values, step.values / m.calibration)
+        np.testing.assert_array_equal(cut.errors, step.errors / m.calibration)
+        assert set(record) == {"elastic_amplitude", "elastic_constant"}

@@ -241,3 +241,26 @@ class TestWitness:
             SusceptibilityCurve(t, alpha * chi, np.zeros_like(t)), REF
         ).mw_se
         np.testing.assert_allclose(scaled, alpha * (base + 1.0) - 1.0, rtol=1e-9, atol=1e-12)
+
+
+class TestOneChainFormula:
+    @pytest.mark.parametrize("impurity_curie", [False, True])
+    def test_fit_residual_is_chi_full_bitwise(self, monkeypatch, impurity_curie):
+        from chainqfi import fitter
+
+        captured = {}
+
+        def capture(residual_fn, start, **kwargs):
+            captured["fn"] = residual_fn
+
+        monkeypatch.setattr(fitter, "least_squares", capture)
+        truth = ChainParameters(j_over_kb=3.1, g_factor=2.1, c0=2e-5, c1=-16.7e-5)
+        curve = synthetic_curve(truth, noise=0.01, seed=3)
+        fit_susceptibility(curve, truth, impurity_curie=impurity_curie)
+        trial = ChainParameters(j_over_kb=2.7, g_factor=1.93, c0=3e-4, c1=-2e-5)
+        residual = captured["fn"](
+            {"j_over_kb": 2.7, "g_factor": 1.93, "c0": 3e-4, "c1": -2e-5}
+        )
+        model = chi_full(curve.temperatures, trial, impurity_curie=impurity_curie)
+        expected = (model - curve.chi) * (1.0 / curve.sigma)
+        np.testing.assert_array_equal(residual, expected)
