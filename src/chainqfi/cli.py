@@ -65,6 +65,20 @@ def _parse_freeze(fragments) -> dict[str, float]:
     return frozen
 
 
+def _parse_temps(text: str) -> list[float]:
+    """The comma-separated --temps list; every entry a finite number > 0."""
+    temps = []
+    for k, token in enumerate(text.split(","), start=1):
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"--temps entry {k} ({token!r}) must be a finite number > 0")
+        temps.append(value)
+    return temps
+
+
 def _policy_from_flag(flag: str) -> str:
     return {"strict": "strict", "absolute-value": "absolute_value"}[flag]
 
@@ -196,10 +210,9 @@ def _evaluate_qfi(sources, params: StarykhParams, omega_max: float):
     return points, curves, [str(w.message) for w in caught]
 
 
-def _qfi_model_half(args, omega_max: float, report: dict):
+def _qfi_model_half(args, temps: list[float], omega_max: float, report: dict):
     """F_Q of the line-shape model at --temps."""
     params = _model_params(args, _policy_from_flag(args.policy or "strict"))
-    temps = [float(s) for s in args.temps.split(",")]
     sources = [(t, lambda w, t=t: dynamics.chi_imag_starykh(w, t, params)) for t in temps]
     points, curves, report["warnings"] = _evaluate_qfi(sources, params, omega_max)
     report.update(
@@ -251,6 +264,7 @@ def _qfi_data_half(args, omega_max: float, report: dict):
 
 
 def cmd_qfi(args) -> int:
+    temps = None if args.data else _parse_temps(args.temps)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     omega_max = args.omega_max
@@ -262,7 +276,7 @@ def cmd_qfi(args) -> int:
         points, model_curves, data_cuts = _qfi_data_half(args, omega_max, report)
         _write_json(outdir / "fit_report.json", report["starykh_fit"])
     else:
-        points, model_curves, data_cuts = _qfi_model_half(args, omega_max, report)
+        points, model_curves, data_cuts = _qfi_model_half(args, temps, omega_max, report)
     _write_qfi_points(outdir / "qfi_points.csv", points)
 
     scaling = None
@@ -362,6 +376,7 @@ def cmd_spinon(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    temps = _parse_temps(args.temps)
     policy = _policy_from_flag(args.policy or "strict")
     chain = ChainParameters(
         j_over_kb=args.j_kelvin,
@@ -379,7 +394,6 @@ def cmd_synth(args) -> int:
         elastic_amplitude=args.elastic_amp,
         flat_background=args.flat_bg,
     )
-    temps = [float(s) for s in args.temps.split(",")]
     written = pipeline_io.generate_synthetic_dataset(
         chain, starykh, temps, args.out, config=config
     )

@@ -74,9 +74,11 @@ class NonPositiveValue(ChainQfiError):
 # --- file ingestion ---
 
 class ParseError(ChainQfiError):
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

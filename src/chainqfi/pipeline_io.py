@@ -16,7 +16,9 @@ bit-exact.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -195,48 +197,61 @@ def load_dataset(manifest_path) -> Dataset:
     return Dataset(manifest, grid, {"path": str(spectrum_path), "sha256": digest})
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"cannot parse {column}={token!r} as a number", line=line_no)
-    if not math.isfinite(value):
-        raise ParseError(f"{column}={token!r} is not finite", line=line_no)
-    return value
+def _read_table(path, header: list[str]) -> np.ndarray:
+    """The data rows under ``header`` as an (n, k) array of finite floats.
+    Blank rows are skipped and not counted: line 1 is the header."""
+    with open(path, encoding="utf-8") as fh:
+        # a row is blank when every cell is whitespace; the first cell decides most rows
+        rows = [r for r in csv.reader(fh) if r and (r[0].strip() or any(map(str.strip, r)))]
+    if not rows:
+        raise EmptyFile(f"{path} is empty")
+    fault = functools.partial(ParseError, path=path)
+    if [c.strip() for c in rows[0]] != header:
+        raise fault(f"expected header {','.join(header)!r}, got {','.join(rows[0])!r}", line=1)
+    body, k = rows[1:], len(header)
+    if set(map(len, body)) <= {k}:
+        try:
+            table = np.fromiter(map(float, itertools.chain.from_iterable(body)), float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(table).all():
+                return table.reshape(len(body), k)
+    # error path: the first row with a wrong field count or a bad token
+    for line, row in enumerate(body, start=2):
+        if len(row) != k:
+            raise fault(f"expected {k} fields, got {len(row)}", line=line)
+        for column, token in zip(header, row):
+            try:
+                value = float(token)
+            except ValueError:
+                raise fault(f"cannot parse {column}={token!r} as a number", line=line) from None
+            if not math.isfinite(value):
+                raise fault(f"{column}={token!r} is not finite", line=line)
+    raise AssertionError("unreachable: every token parsed")
 
 
 def read_susceptibility_csv(path) -> SusceptibilityCurve:
     """Read a chi(T) curve; rows are sorted by temperature on return."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    if [c.strip() for c in rows[0]] != CHI_HEADER:
-        raise ParseError(
-            f"expected header {','.join(CHI_HEADER)!r}, got {','.join(rows[0])!r}", line=1
-        )
-    if len(rows) == 1:
+    table = _read_table(path, CHI_HEADER)
+    if len(table) == 0:
         raise EmptyFile(f"{path} has a header but no data rows")
-    records = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=line_no)
-        t = _parse_float(row[0], line_no, "T_K")
-        chi = _parse_float(row[1], line_no, "chi_emu_per_mol")
-        sigma = _parse_float(row[2], line_no, "sigma")
-        if t <= 0:
-            raise ParseError(f"temperature must be positive, got {t}", line=line_no)
-        if sigma < 0:
-            raise ParseError(f"sigma must be nonnegative, got {sigma}", line=line_no)
-        records.append((t, chi, sigma))
-    records.sort(key=lambda r: r[0])
-    temps = [r[0] for r in records]
-    if len(set(temps)) != len(temps):
-        dupes = sorted({t for t in temps if temps.count(t) > 1})
+    t, _, sigma = table.T
+    bad = np.flatnonzero((t <= 0) | (sigma < 0))
+    if bad.size:
+        k = int(bad[0])
+        message = (
+            f"temperature must be positive, got {t[k]}"
+            if t[k] <= 0
+            else f"sigma must be nonnegative, got {sigma[k]}"
+        )
+        raise ParseError(message, line=k + 2, path=path)
+    t, chi, sigma = table[np.argsort(t, kind="stable")].T
+    repeated = t[1:][t[1:] == t[:-1]]
+    if repeated.size:
+        dupes = sorted(set(repeated.tolist()))
         raise DuplicateAbscissa(f"duplicate temperatures in {path}: {dupes}")
-    arr = np.asarray(records, dtype=float)
-    return SusceptibilityCurve(temperatures=arr[:, 0], chi=arr[:, 1], sigma=arr[:, 2])
+    return SusceptibilityCurve(temperatures=t, chi=chi, sigma=sigma)
 
 
 def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> None:
@@ -248,56 +263,37 @@ def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> None:
 
 def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
     """Read a long-format S(Q,E) grid; the rectangular grid must be complete."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    if [c.strip() for c in rows[0]] != SQE_HEADER:
+    table = _read_table(path, SQE_HEADER)
+    negative = np.flatnonzero(table[:, 3] < 0)
+    if negative.size:
+        k = int(negative[0])
+        raise ParseError(f"error must be nonnegative, got {table[k, 3]}", line=k + 2, path=path)
+    # stable sort on (E, Q): equal keys keep file order, so the second row of
+    # each adjacent equal pair is a repeat; the one earliest in the file is reported
+    order = np.lexsort((table[:, 0], table[:, 1]))
+    cells = table[order]
+    repeats = np.flatnonzero((cells[1:, :2] == cells[:-1, :2]).all(axis=1))
+    if repeats.size:
+        i = repeats[np.argmin(order[repeats + 1])]
+        q, e = cells[i + 1, :2].tolist()
+        same = (cells[i, 2:] == cells[i + 1, 2:]).all()
+        detail = "duplicate cell" if same else "ambiguous duplicate (values differ)"
         raise ParseError(
-            f"expected header {','.join(SQE_HEADER)!r}, got {','.join(rows[0])!r}", line=1
+            f"cell Q={q!r}, E={e!r} repeated: {detail}", line=int(order[i + 1]) + 2, path=path
         )
-    cells: dict[tuple[float, float], tuple[float, float]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=line_no)
-        q = _parse_float(row[0], line_no, "Q_invA")
-        e = _parse_float(row[1], line_no, "E_meV")
-        inten = _parse_float(row[2], line_no, "intensity")
-        err = _parse_float(row[3], line_no, "error")
-        if err < 0:
-            raise ParseError(f"error must be nonnegative, got {err}", line=line_no)
-        key = (q, e)
-        if key in cells:
-            previous = cells[key]
-            detail = (
-                "ambiguous duplicate (values differ)"
-                if previous != (inten, err)
-                else "duplicate cell"
-            )
-            raise ParseError(f"cell Q={q!r}, E={e!r} repeated: {detail}", line=line_no)
-        cells[key] = (inten, err)
-    q_axis = np.array(sorted({q for q, _ in cells}))
-    e_axis = np.array(sorted({e for _, e in cells}))
-    expected = q_axis.size * e_axis.size
-    if len(cells) != expected:
+    # no repeats, so nq * ne cells leave no cell of the grid missing
+    q_axis, e_axis = np.unique(table[:, 0]), np.unique(table[:, 1])
+    shape = (e_axis.size, q_axis.size)
+    if len(cells) != e_axis.size * q_axis.size:
         raise IncompleteGrid(
             f"{path}: {len(cells)} cells for a {e_axis.size} x {q_axis.size} grid "
-            f"({expected} expected)"
+            f"({e_axis.size * q_axis.size} expected)"
         )
-    intensity = np.empty((e_axis.size, q_axis.size))
-    errors = np.empty_like(intensity)
-    for i, e in enumerate(e_axis):
-        for j, q in enumerate(q_axis):
-            try:
-                intensity[i, j], errors[i, j] = cells[(q, e)]
-            except KeyError:
-                raise IncompleteGrid(f"{path}: missing cell Q={q!r}, E={e!r}")
     return SpectrumGrid(
         q_axis=q_axis,
         e_axis=e_axis,
-        intensity=intensity,
-        errors=errors,
+        intensity=cells[:, 2].reshape(shape),
+        errors=cells[:, 3].reshape(shape),
         temperature=manifest.temperature_K,
     )
 

@@ -34,7 +34,7 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-_VIRIDIS = (
+_VIRIDIS = np.array((
     (0.267, 0.005, 0.329),
     (0.270, 0.185, 0.475),
     (0.230, 0.322, 0.546),
@@ -44,18 +44,7 @@ _VIRIDIS = (
     (0.369, 0.789, 0.383),
     (0.678, 0.864, 0.190),
     (0.993, 0.906, 0.144),
-)
-
-
-def _colormap(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    pos = v * (len(_VIRIDIS) - 1)
-    i = min(int(pos), len(_VIRIDIS) - 2)
-    f = pos - i
-    r, g, b = (
-        (1 - f) * _VIRIDIS[i][k] + f * _VIRIDIS[i + 1][k] for k in range(3)
-    )
-    return f"#{int(255 * r):02x}{int(255 * g):02x}{int(255 * b):02x}"
+))
 
 
 @dataclass
@@ -168,6 +157,33 @@ class Figure:
             ticks = [(v, _fmt(10**v)) for v in nice_ticks(lo, hi, 4)]
         return ticks
 
+    def _cell_rects(self, px, py, xc, yc, vals) -> list[str]:
+        """One <rect> per finite cell, rows outer, coloured over the finite
+        value range; each edge is mapped and formatted once."""
+        finite = np.isfinite(vals)
+        v = vals[finite]
+        vmin = float(v.min()) if v.size else 0.0
+        vmax = float(v.max()) if v.size else 1.0
+        span = (vmax - vmin) or 1.0
+        xe = [px(v) for v in self._edges(xc).tolist()]
+        ye = [py(v) for v in self._edges(yc).tolist()]
+        xs = [(_fmt(min(a, b)), _fmt(abs(b - a))) for a, b in zip(xe, xe[1:])]
+        ys = [(_fmt(min(a, b)), _fmt(abs(b - a))) for a, b in zip(ye, ye[1:])]
+        # viridis: linear between the two stops around v, truncated to 0..255
+        v = np.clip((v - vmin) / span, 0.0, 1.0)
+        pos = v * (len(_VIRIDIS) - 1)
+        k = np.minimum(pos.astype(int), len(_VIRIDIS) - 2)
+        f = (pos - k)[:, None]
+        rgb = (255 * ((1 - f) * _VIRIDIS[k] + f * _VIRIDIS[k + 1])).astype(int)
+        codes = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+        rows, cols = np.nonzero(finite)
+        return [
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="#{c:06x}"/>'
+            for (y, h), (x, w), c in zip(
+                [ys[i] for i in rows.tolist()], [xs[j] for j in cols.tolist()], codes.tolist()
+            )
+        ]
+
     def render(self, path, timestamp: str | None = None) -> None:
         px, py, (xlo, xhi), (ylo, yhi) = self._scales()
         x0, x1 = self.margin_left, self.width - self.margin_right
@@ -185,23 +201,7 @@ class Figure:
             kind = el[0]
             if kind == "cells":
                 _, xc, yc, vals, label = el
-                finite = vals[np.isfinite(vals)]
-                vmin = float(finite.min()) if finite.size else 0.0
-                vmax = float(finite.max()) if finite.size else 1.0
-                span = (vmax - vmin) or 1.0
-                xe, ye = self._edges(xc), self._edges(yc)
-                for i in range(yc.size):
-                    for j in range(xc.size):
-                        v = vals[i, j]
-                        if not np.isfinite(v):
-                            continue
-                        cx0, cx1 = px(xe[j]), px(xe[j + 1])
-                        cy0, cy1 = py(ye[i]), py(ye[i + 1])
-                        out.append(
-                            f'<rect x="{_fmt(min(cx0, cx1))}" y="{_fmt(min(cy0, cy1))}" '
-                            f'width="{_fmt(abs(cx1 - cx0))}" height="{_fmt(abs(cy1 - cy0))}" '
-                            f'fill="{_colormap((v - vmin) / span)}"/>'
-                        )
+                out += self._cell_rects(px, py, xc, yc, vals)
                 if label:
                     legend_items.append((label, "#808080"))
             elif kind == "fill":

@@ -464,6 +464,75 @@ class TestInputFaults:
         assert not (tmp_path / "o" / "fit_report.json").exists()
 
 
+class TestSpectrumFaultNamesTheFile:
+    def test_truncated_row_under_spinon(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        argv = ["synth", "--temps", "0.2,0.5", "--seed", "7", "--noise", "1.0",
+                "--elastic-amp", "100", "--out", str(data), "--deterministic"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        sqe, manifest = data / "sqe_T0p5.csv", data / "manifest_T0p5.json"
+        lines = sqe.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].rsplit(",", 1)[0] + "\n"  # line 5 loses its error column
+        sqe.write_text("".join(lines))
+        rewrite_manifest(manifest, inputs=[{"path": sqe.name, "sha256": sha256_of(sqe)}])
+        code = main(["spinon", "--data", str(manifest), "--out", str(tmp_path / "o")])
+        err = single_error(capsys)
+        assert code == 2
+        assert err == {
+            "error": "ParseError",
+            "message": f"{sqe}: line 5: expected 4 fields, got 3",
+        }
+
+
+class TestTempsFlag:
+    """qfi --model and synth share one --temps parser that refuses a bad
+    entry, by position, before any output is written."""
+
+    COMMANDS = {"qfi": ["qfi", "--model"], "synth": ["synth"]}
+
+    @pytest.mark.parametrize(
+        "temps, position, token",
+        [
+            ("0.1,x", 2, "x"),
+            ("0.1,,0.2", 2, ""),
+            ("0.1,0.2,", 3, ""),
+            ("0.1,-1", 2, "-1"),
+            ("0,0.5", 1, "0"),
+            ("nan,0.5", 1, "nan"),
+            ("0.5,inf", 2, "inf"),
+        ],
+    )
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_entry(self, tmp_path, capsys, command, temps, position, token):
+        out = tmp_path / "o"
+        code = main([*self.COMMANDS[command], "--temps", temps, "--out", str(out)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err == {
+            "error": "ValueError",
+            "message": f"--temps entry {position} ({token!r}) must be a finite number > 0",
+        }
+        assert not out.exists()
+
+    def test_both_commands_use_the_parser(self, tmp_path, monkeypatch):
+        seen = []
+        parse = cli._parse_temps
+
+        def spy(text):
+            seen.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(cli, "_parse_temps", spy)
+        assert main(["qfi", "--model", "--temps", " 0.3, 0.6", "--out", str(tmp_path / "q"),
+                     "--deterministic"]) == 0
+        assert main(["synth", "--temps", "0.5", "--out", str(tmp_path / "s"),
+                     "--deterministic"]) == 0
+        assert seen == [" 0.3, 0.6", "0.5"]
+        points = (tmp_path / "q" / "qfi_points.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in points[1:]] == ["0.3", "0.6"]
+
+
 # exit code of each error class under the three tuples cli.main used to keep
 # (_POLICY_ERRORS -> 4, _NUMERIC_ERRORS -> 3, everything else -> 2)
 OLD_EXIT_CODES = {

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainqfi.core import ChainParameters, EnergyCut, SpectrumGrid
 from chainqfi.dynamics import StarykhParams, chi_imag_starykh, fit_starykh
@@ -487,3 +489,144 @@ class TestLoadAndReduce:
         np.testing.assert_array_equal(cut.values, step.values / m.calibration)
         np.testing.assert_array_equal(cut.errors, step.errors / m.calibration)
         assert set(record) == {"elastic_amplitude", "elastic_constant"}
+
+
+# --- whole-array readers: round trip and single-fault files -------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+AXIS = st.lists(FINITE, min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def spectra(draw):
+    q, e = draw(AXIS), draw(AXIS)
+    cells = len(q) * len(e)
+    intensity = draw(st.lists(FINITE, min_size=cells, max_size=cells))
+    errors = draw(st.lists(FINITE.map(abs), min_size=cells, max_size=cells))
+    return SpectrumGrid(
+        q_axis=q,
+        e_axis=e,
+        intensity=np.reshape(intensity, (len(e), len(q))),
+        errors=np.reshape(errors, (len(e), len(q))),
+        temperature=0.5,
+    )
+
+
+def bits(a):
+    return np.asarray(a).tobytes(), np.shape(a)
+
+
+class TestSpectrumReaderRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spectra(), st.randoms(use_true_random=False))
+    def test_shuffled_rows_blank_lines_and_crlf(self, tmp_path_factory, grid, rnd):
+        path = tmp_path_factory.mktemp("rt") / "sqe.csv"
+        write_spectrum_csv(path, grid)
+        header, *rows = path.read_text().splitlines()
+        rnd.shuffle(rows)
+        for _ in range(rnd.randint(0, 4)):
+            rows.insert(rnd.randint(0, len(rows)), rnd.choice(["", " ", " , ,", "\t"]))
+        lines = [header] + rows
+        text = "".join(line + rnd.choice(["\n", "\r\n"]) for line in lines)
+        path.write_bytes(text.encode())
+        back = read_spectrum_csv(path, MANIFEST)
+        for name in ("q_axis", "e_axis", "intensity", "errors"):
+            assert bits(getattr(back, name)) == bits(getattr(grid, name)), name
+
+
+GOOD_ROWS = [
+    "0.4,0.1,1.0,0.1", "0.6,0.1,2.0,0.1", "0.8,0.1,2.5,0.1",
+    "0.4,0.2,3.0,0.1", "0.6,0.2,4.0,0.1", "0.8,0.2,4.5,0.1",
+]
+
+
+def with_row(k, text):
+    """GOOD_ROWS with data row ``k`` (file line k + 2) replaced."""
+    rows = list(GOOD_ROWS)
+    rows[k] = text
+    return rows
+
+
+SPECTRUM_FAULTS = {
+    "wrong field count": (with_row(1, "0.6,0.1,2.0"), ParseError, 3, "expected 4 fields, got 3"),
+    "non-numeric cell": (with_row(2, "0.8,0.1,abc,0.1"), ParseError, 4,
+                         "cannot parse intensity='abc'"),
+    "inf": (with_row(3, "0.4,0.2,inf,0.1"), ParseError, 5, "intensity='inf' is not finite"),
+    "negative error": (with_row(4, "0.6,0.2,4.0,-0.5"), ParseError, 6,
+                       "error must be nonnegative, got -0.5"),
+    "exact duplicate": (GOOD_ROWS + [GOOD_ROWS[1]], ParseError, 8,
+                        "Q=0.6, E=0.1 repeated: duplicate cell"),
+    "ambiguous duplicate": (with_row(4, "0.4,0.1,9.0,0.1") + [GOOD_ROWS[4]], ParseError, 6,
+                            "Q=0.4, E=0.1 repeated: ambiguous duplicate"),
+    "short grid": (GOOD_ROWS[:-1], IncompleteGrid, None, "5 cells for a 2 x 3 grid"),
+}
+
+
+class TestSpectrumReaderFaults:
+    def test_good_rows_read(self, tmp_path):
+        path = tmp_path / "sqe.csv"
+        path.write_text("\n".join(["Q_invA,E_meV,intensity,error", *GOOD_ROWS]) + "\n")
+        grid = read_spectrum_csv(path, MANIFEST)
+        np.testing.assert_array_equal(grid.intensity, [[1.0, 2.0, 2.5], [3.0, 4.0, 4.5]])
+
+    @pytest.mark.parametrize("fault", list(SPECTRUM_FAULTS))
+    def test_single_fault(self, tmp_path, fault):
+        rows, cls, line, text = SPECTRUM_FAULTS[fault]
+        path = tmp_path / "sqe.csv"
+        path.write_text("\n".join(["Q_invA,E_meV,intensity,error", *rows]) + "\n")
+        with pytest.raises(cls) as info:
+            read_spectrum_csv(path, MANIFEST)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert text in message
+        if line is not None:
+            assert info.value.line == line and f": line {line}: " in message
+
+    @pytest.mark.parametrize(
+        "extra, line, cell",
+        [
+            ([0, 5], 8, "Q=0.4, E=0.1"),
+            ([5, 0], 8, "Q=0.8, E=0.2"),
+            ([3, 3, 1], 8, "Q=0.4, E=0.2"),
+        ],
+    )
+    def test_first_repeat_in_file_order_is_reported(self, tmp_path, extra, line, cell):
+        path = tmp_path / "sqe.csv"
+        rows = GOOD_ROWS + [GOOD_ROWS[k] for k in extra]
+        path.write_text("\n".join(["Q_invA,E_meV,intensity,error", *rows]) + "\n")
+        with pytest.raises(ParseError, match=f"line {line}: cell {cell} repeated"):
+            read_spectrum_csv(path, MANIFEST)
+
+    def test_header_fault_names_the_file(self, tmp_path):
+        path = tmp_path / "sqe.csv"
+        path.write_text("Q,E,I,dI\n" + "\n".join(GOOD_ROWS) + "\n")
+        with pytest.raises(ParseError, match="line 1") as info:
+            read_spectrum_csv(path, MANIFEST)
+        assert str(info.value).startswith(f"{path}: line 1: expected header")
+
+
+CHI_FAULTS = {
+    "wrong field count": ("2.0,0.02", 3, "expected 3 fields, got 2"),
+    "non-numeric cell": ("2.0,x,0", 3, "cannot parse chi_emu_per_mol='x'"),
+    "nan": ("2.0,0.02,nan", 3, "sigma='nan' is not finite"),
+    "zero temperature": ("0.0,0.02,0", 3, "temperature must be positive, got 0.0"),
+    "negative sigma": ("2.0,0.02,-1e-3", 3, "sigma must be nonnegative, got -0.001"),
+}
+
+
+class TestSusceptibilityReaderFaults:
+    @pytest.mark.parametrize("fault", list(CHI_FAULTS))
+    def test_single_fault(self, tmp_path, fault):
+        row, line, text = CHI_FAULTS[fault]
+        path = tmp_path / "chi.csv"
+        path.write_text(f"T_K,chi_emu_per_mol,sigma\n1.0,0.01,0\n{row}\n3.0,0.03,0\n")
+        with pytest.raises(ParseError) as info:
+            read_susceptibility_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: line {line}: ") and text in message
+
+    def test_repeated_temperature_listed_once(self, tmp_path):
+        path = tmp_path / "chi.csv"
+        path.write_text("T_K,chi_emu_per_mol,sigma\n3.0,0.03,0\n1.0,0.01,0\n3.0,0.04,0\n")
+        with pytest.raises(DuplicateAbscissa, match=r"chi.csv: \[3.0\]"):
+            read_susceptibility_csv(path)
