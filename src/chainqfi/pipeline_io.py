@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -197,28 +198,60 @@ def load_dataset(manifest_path) -> Dataset:
     return Dataset(manifest, grid, {"path": str(spectrum_path), "sha256": digest})
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=path) from None
+
+
+def _csv_rows(text: str):
+    """(file line, cells) of each CSV row of ``text`` that is not blank; a
+    row is blank when every cell is whitespace."""
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
+        # the first cell decides most rows
+        if row and (row[0].strip() or any(map(str.strip, row))):
+            yield reader.line_num, row
+
+
+def _data_line(path, k: int) -> int:
+    """The file line of data row ``k`` (0-based, blank rows not counted);
+    the readers call it only to report a fault."""
+    rows = _csv_rows(_read_text(path))
+    next(rows)  # the header
+    return next(itertools.islice(rows, k, None))[0]
+
+
 def _read_table(path, header: list[str]) -> np.ndarray:
     """The data rows under ``header`` as an (n, k) array of finite floats.
-    Blank rows are skipped and not counted: line 1 is the header."""
-    with open(path, encoding="utf-8") as fh:
-        # a row is blank when every cell is whitespace; the first cell decides most rows
-        rows = [r for r in csv.reader(fh) if r and (r[0].strip() or any(map(str.strip, r)))]
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    fault = functools.partial(ParseError, path=path)
-    if [c.strip() for c in rows[0]] != header:
-        raise fault(f"expected header {','.join(header)!r}, got {','.join(rows[0])!r}", line=1)
-    body, k = rows[1:], len(header)
-    if set(map(len, body)) <= {k}:
+    Blank rows are skipped; a fault names its line in the file."""
+    text = _read_text(path)
+    first, _, body = text.partition("\n")
+    if first == ",".join(header) and body.strip():
+        # loadtxt parses exactly as float() or refuses (quotes, digit
+        # separators, non-ASCII digits, whitespace-only rows); a refusal
+        # falls through to the csv walk, which decides and reports
         try:
-            table = np.fromiter(map(float, itertools.chain.from_iterable(body)), float)
+            table = np.loadtxt(
+                body.split("\n"), delimiter=",", comments=None, quotechar=None, ndmin=2,
+                dtype=float,
+            )
         except ValueError:
             pass
         else:
-            if np.isfinite(table).all():
-                return table.reshape(len(body), k)
-    # error path: the first row with a wrong field count or a bad token
-    for line, row in enumerate(body, start=2):
+            if table.shape[1] == len(header) and np.isfinite(table).all():
+                return table
+    rows = _csv_rows(text)
+    line, head = next(rows, (None, None))
+    if head is None:
+        raise EmptyFile(f"{path} is empty")
+    fault = functools.partial(ParseError, path=path)
+    if [c.strip() for c in head] != header:
+        raise fault(f"expected header {','.join(header)!r}, got {','.join(head)!r}", line=line)
+    k, values = len(header), []
+    for line, row in rows:
         if len(row) != k:
             raise fault(f"expected {k} fields, got {len(row)}", line=line)
         for column, token in zip(header, row):
@@ -228,7 +261,8 @@ def _read_table(path, header: list[str]) -> np.ndarray:
                 raise fault(f"cannot parse {column}={token!r} as a number", line=line) from None
             if not math.isfinite(value):
                 raise fault(f"{column}={token!r} is not finite", line=line)
-    raise AssertionError("unreachable: every token parsed")
+            values.append(value)
+    return np.array(values, dtype=float).reshape(-1, k)
 
 
 def read_susceptibility_csv(path) -> SusceptibilityCurve:
@@ -245,7 +279,7 @@ def read_susceptibility_csv(path) -> SusceptibilityCurve:
             if t[k] <= 0
             else f"sigma must be nonnegative, got {sigma[k]}"
         )
-        raise ParseError(message, line=k + 2, path=path)
+        raise ParseError(message, line=_data_line(path, k), path=path)
     t, chi, sigma = table[np.argsort(t, kind="stable")].T
     repeated = t[1:][t[1:] == t[:-1]]
     if repeated.size:
@@ -267,7 +301,9 @@ def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
     negative = np.flatnonzero(table[:, 3] < 0)
     if negative.size:
         k = int(negative[0])
-        raise ParseError(f"error must be nonnegative, got {table[k, 3]}", line=k + 2, path=path)
+        raise ParseError(
+            f"error must be nonnegative, got {table[k, 3]}", line=_data_line(path, k), path=path
+        )
     # stable sort on (E, Q): equal keys keep file order, so the second row of
     # each adjacent equal pair is a repeat; the one earliest in the file is reported
     order = np.lexsort((table[:, 0], table[:, 1]))
@@ -279,7 +315,9 @@ def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
         same = (cells[i, 2:] == cells[i + 1, 2:]).all()
         detail = "duplicate cell" if same else "ambiguous duplicate (values differ)"
         raise ParseError(
-            f"cell Q={q!r}, E={e!r} repeated: {detail}", line=int(order[i + 1]) + 2, path=path
+            f"cell Q={q!r}, E={e!r} repeated: {detail}",
+            line=_data_line(path, int(order[i + 1])),
+            path=path,
         )
     # no repeats, so nq * ne cells leave no cell of the grid missing
     q_axis, e_axis = np.unique(table[:, 0]), np.unique(table[:, 1])

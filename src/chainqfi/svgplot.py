@@ -16,6 +16,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _screen(v, log: bool, lo: float, hi: float, a: int, b: int) -> list[str]:
+    """``_fmt`` of ``a + (t - lo) / (hi - lo) * (b - a)`` for every value,
+    t = log10(v) on a log axis: the operations of ``px``/``py`` in the same
+    order, on a whole array. ``math.log10`` stays, since ``np.log10`` differs
+    from it in the last bit for some inputs."""
+    v = np.asarray(v, dtype=float)
+    if log:
+        v = np.fromiter(map(math.log10, v.tolist()), float, v.size)
+    return list(map("{:.6g}".format, (a + (v - lo) / (hi - lo) * (b - a)).tolist()))
+
+
 def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if not (hi > lo):
         return [lo]
@@ -144,7 +155,14 @@ class Figure:
             v = math.log10(v) if self.ylog else v
             return y0 + (v - ylo) / (yhi - ylo) * (y1 - y0)
 
-        return px, py, (xlo, xhi), (ylo, yhi)
+        def pxy(x, y):
+            """The formatted px and py of whole x and y arrays."""
+            return (
+                _screen(x, self.xlog, xlo, xhi, x0, x1),
+                _screen(y, self.ylog, ylo, yhi, y0, y1),
+            )
+
+        return px, py, pxy, (xlo, xhi), (ylo, yhi)
 
     def _tick_values(self, lo, hi, log_scale):
         if not log_scale:
@@ -184,8 +202,34 @@ class Figure:
             )
         ]
 
+    def _marks(self, el, pxy) -> list[str]:
+        """The SVG of one line, fill or points element; lines and fills need
+        two points."""
+        kind, x, y, color, style = el[:5]
+        if kind == "points":
+            return [
+                f'<circle cx="{cx}" cy="{cy}" r="{style}" fill="{color}"/>'
+                for cx, cy in zip(*pxy(x, y))
+            ]
+        if x.size < 2:
+            return []
+        pts = list(map(",".join, zip(*pxy(x, y))))
+        if kind == "line":
+            dash_attr = f' stroke-dasharray="{el[5]}"' if el[5] else ""
+            return [
+                f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
+                f'stroke-width="{style}"{dash_attr}/>'
+            ]
+        base = min(y[y > 0], default=1e-30) if self.ylog else 0.0
+        (x_first, x_last), (y_base, _) = pxy(x[[0, -1]], [base, base])
+        pts = [f"{x_first},{y_base}", *pts, f"{x_last},{y_base}"]
+        return [
+            f'<polygon points="{" ".join(pts)}" fill="{color}" '
+            f'fill-opacity="{style}" stroke="none"/>'
+        ]
+
     def render(self, path, timestamp: str | None = None) -> None:
-        px, py, (xlo, xhi), (ylo, yhi) = self._scales()
+        px, py, pxy, (xlo, xhi), (ylo, yhi) = self._scales()
         x0, x1 = self.margin_left, self.width - self.margin_right
         y0, y1 = self.height - self.margin_bottom, self.margin_top
         out = [
@@ -204,40 +248,10 @@ class Figure:
                 out += self._cell_rects(px, py, xc, yc, vals)
                 if label:
                     legend_items.append((label, "#808080"))
-            elif kind == "fill":
-                _, x, y, color, opacity, label = el
-                if x.size >= 2:
-                    pts = [f"{_fmt(px(x[0]))},{_fmt(py(0.0 if not self.ylog else min(y[y>0], default=1e-30)))}"]
-                    pts += [f"{_fmt(px(xi))},{_fmt(py(yi))}" for xi, yi in zip(x, y)]
-                    pts.append(f"{_fmt(px(x[-1]))},{_fmt(py(0.0 if not self.ylog else min(y[y>0], default=1e-30)))}")
-                    out.append(
-                        f'<polygon points="{" ".join(pts)}" fill="{color}" '
-                        f'fill-opacity="{opacity}" stroke="none"/>'
-                    )
-                if label:
-                    legend_items.append((label, color))
-            elif kind == "line":
-                _, x, y, color, width, dash, label = el
-                if x.size >= 2:
-                    pts = " ".join(
-                        f"{_fmt(px(xi))},{_fmt(py(yi))}" for xi, yi in zip(x, y)
-                    )
-                    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-                    out.append(
-                        f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                        f'stroke-width="{width}"{dash_attr}/>'
-                    )
-                if label:
-                    legend_items.append((label, color))
-            elif kind == "points":
-                _, x, y, color, radius, label = el
-                for xi, yi in zip(x, y):
-                    out.append(
-                        f'<circle cx="{_fmt(px(xi))}" cy="{_fmt(py(yi))}" '
-                        f'r="{radius}" fill="{color}"/>'
-                    )
-                if label:
-                    legend_items.append((label, color))
+            elif kind in ("fill", "line", "points"):
+                out += self._marks(el, pxy)
+                if el[-1]:
+                    legend_items.append((el[-1], el[3]))
             elif kind == "vline":
                 _, xv, color, dash, label = el
                 out.append(

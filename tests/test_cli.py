@@ -584,3 +584,37 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_witness", fail)
         assert main(["witness", "chi.csv", "--g", "2.1"]) == code
         assert single_error(capsys) == {"error": type(exc).__name__, "message": "boom"}
+
+
+class TestNotUtf8Csv:
+    """A CSV that is not UTF-8 exits 2 with a ParseError naming the file."""
+
+    @staticmethod
+    def corrupt(path, line):
+        """Put a Latin-1 byte at the start of ``line``; return its offset."""
+        data = path.read_bytes()
+        at = sum(len(row) for row in data.splitlines(keepends=True)[: line - 1])
+        path.write_bytes(data[:at] + b"\xe9" + data[at:])
+        return at
+
+    def test_chi_csv_under_witness(self, tmp_path, capsys):
+        chi_csv = write_chi(tmp_path / "chi.csv")
+        at = self.corrupt(chi_csv, 3)
+        code = main(["witness", str(chi_csv), "--g", "2.1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert single_error(capsys) == {
+            "error": "ParseError",
+            "message": f"{chi_csv}: not UTF-8 text: invalid continuation byte at byte {at}",
+        }
+
+    def test_spectrum_under_spinon(self, tmp_path, capsys):
+        manifest = make_dataset(tmp_path / "data", temps=(0.5,))["spectra"][0]["manifest"]
+        sqe = Path(manifest).parent / json.loads(Path(manifest).read_text())["inputs"][0]["path"]
+        at = self.corrupt(sqe, 40)
+        rewrite_manifest(manifest, inputs=[{"path": sqe.name, "sha256": sha256_of(sqe)}])
+        code = main(["spinon", "--data", manifest, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = single_error(capsys)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{sqe}: not UTF-8 text: ")
+        assert err["message"].endswith(f" at byte {at}")

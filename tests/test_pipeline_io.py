@@ -1,3 +1,5 @@
+import csv
+import functools
 import json
 import math
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainqfi import pipeline_io
 from chainqfi.core import ChainParameters, EnergyCut, SpectrumGrid
 from chainqfi.dynamics import StarykhParams, chi_imag_starykh, fit_starykh
 from chainqfi.errors import (
@@ -630,3 +633,226 @@ class TestSusceptibilityReaderFaults:
         path.write_text("T_K,chi_emu_per_mol,sigma\n3.0,0.03,0\n1.0,0.01,0\n3.0,0.04,0\n")
         with pytest.raises(DuplicateAbscissa, match=r"chi.csv: \[3.0\]"):
             read_susceptibility_csv(path)
+
+
+def blank_above(rows, line):
+    """``rows`` with a blank row after the header and two blank-looking rows
+    just above file line ``line``, which thereby moves to line + 3."""
+    rows = list(rows)
+    rows[line - 2:line - 2] = ["", " \t"]
+    return ["", *rows]
+
+
+class TestFaultLinesCountBlankRows:
+    """Faults name the line of the file, blank rows included."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "fault", [f for f, spec in SPECTRUM_FAULTS.items() if spec[2] is not None]
+    )
+    def test_spectrum_fault(self, tmp_path, fault, newline):
+        rows, cls, line, text = SPECTRUM_FAULTS[fault]
+        path = tmp_path / "sqe.csv"
+        lines = ["Q_invA,E_meV,intensity,error", *blank_above(rows, line)]
+        path.write_bytes((newline.join(lines) + newline).encode())
+        with pytest.raises(cls) as info:
+            read_spectrum_csv(path, MANIFEST)
+        assert info.value.line == line + 3
+        assert str(info.value).startswith(f"{path}: line {line + 3}: ")
+        assert text in str(info.value)
+
+    @pytest.mark.parametrize("fault", list(CHI_FAULTS))
+    def test_chi_fault(self, tmp_path, fault):
+        row, line, text = CHI_FAULTS[fault]
+        path = tmp_path / "chi.csv"
+        rows = blank_above(["1.0,0.01,0", row, "3.0,0.03,0"], line)
+        path.write_text("\n".join(["T_K,chi_emu_per_mol,sigma", *rows]) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_susceptibility_csv(path)
+        assert str(info.value).startswith(f"{path}: line {line + 3}: ")
+        assert text in str(info.value)
+
+    def test_short_row_after_two_blank_lines(self, tmp_path):
+        path = tmp_path / "sqe.csv"
+        path.write_text("Q_invA,E_meV,intensity,error\n\n\n0.4,0.1,1.0,0.1\n0.6,0.1,2.0\n")
+        with pytest.raises(ParseError, match="line 5: expected 4 fields, got 3"):
+            read_spectrum_csv(path, MANIFEST)
+
+    def test_header_below_blank_lines(self, tmp_path):
+        path = tmp_path / "sqe.csv"
+        path.write_text("\n \nQ_invA,E_meV,intensity,error\n" + "\n".join(GOOD_ROWS) + "\n")
+        assert read_spectrum_csv(path, MANIFEST).intensity.shape == (2, 3)
+        path.write_text("\n \nQ,E,I,dI\n" + "\n".join(GOOD_ROWS) + "\n")
+        with pytest.raises(ParseError, match="line 3: expected header"):
+            read_spectrum_csv(path, MANIFEST)
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("reader", ["spectrum", "chi"])
+    def test_parse_error_names_the_file_and_byte(self, tmp_path, reader):
+        path = tmp_path / "data.csv"
+        if reader == "spectrum":
+            grid = SpectrumGrid(
+                q_axis=np.linspace(0.2, 1.0, 40), e_axis=np.linspace(-0.1, 1.0, 300),
+                intensity=np.ones((300, 40)), errors=np.ones((300, 40)), temperature=0.5,
+            )
+            write_spectrum_csv(path, grid)
+            read = functools.partial(read_spectrum_csv, manifest=MANIFEST)
+        else:
+            write_susceptibility_csv(path, SusceptibilityCurve([1.0, 2.0], [0.1, 0.2], [0, 0]))
+            read = read_susceptibility_csv
+        data = path.read_bytes()
+        at = len(data) - 5  # past the first 8 KiB chunk for the spectrum
+        path.write_bytes(data[:at] + b"\xe9" + data[at:])
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid continuation byte at byte {at}"
+
+
+def reference_read_table(path, header):
+    """csv.reader and one float() per token: the reader that the loadtxt path
+    of ``_read_table`` must match, bit for bit and message for message, with
+    lines numbered as in the file (``reader.line_num``)."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+    if not rows:
+        raise EmptyFile(f"{path} is empty")
+    (line, head), body = rows[0], rows[1:]
+    if [c.strip() for c in head] != header:
+        raise ParseError(
+            f"expected header {','.join(header)!r}, got {','.join(head)!r}", line=line, path=path
+        )
+    values = []
+    for line, row in body:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line, path=path)
+        for column, token in zip(header, row):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(
+                    f"cannot parse {column}={token!r} as a number", line=line, path=path
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{column}={token!r} is not finite", line=line, path=path)
+            values.append(value)
+    return np.array(values, dtype=float).reshape(len(body), len(header))
+
+
+def table_outcome(read, path, header):
+    try:
+        table = read(path, header)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.dtype, table.shape, table.flags.c_contiguous, table.tobytes()
+
+
+PIECES = ["0", "1", "3", "7", "9", "+", "-", ".", "e", "E", "_", " ", "\t", '"', "#",
+          "nan", "inf", "١", "٣", "0.25", "1e-300", "12345678901234567890"]
+TOKENS = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e999", " 1.5\t", '"2.5"', "1_0", "٣", "0x1p3", ""]),
+    st.lists(st.sampled_from(PIECES), max_size=6).map("".join),
+)
+ROW = st.integers(0, 1000)
+EDITS = st.one_of(
+    st.tuples(st.just("token"), ROW, st.integers(0, 4), TOKENS),
+    st.tuples(st.just("insert"), ROW,
+              st.sampled_from(["", " ", "\t ", ",,,", ",,", " , , ", "# note"])),
+    st.tuples(st.just("extra field"), ROW, TOKENS),
+    st.tuples(st.just("drop field"), ROW),
+    st.tuples(st.just("extra field in every row"), ROW, TOKENS),
+    st.tuples(st.just("drop field in every row"), ROW),
+)
+HEADER_FORMS = ["exact", "blank line above", "padded cell", "space inside a name", "wrong"]
+
+
+def edit_rows(rows, edit):
+    kind, k = edit[0], edit[1] % (len(rows) + 1)
+    if kind.endswith("in every row"):
+        for k in range(len(rows)):
+            rows = edit_rows(rows, (kind.removesuffix(" in every row"), k, *edit[2:]))
+        return rows
+    if kind == "insert":
+        return rows[:k] + [edit[2]] + rows[k:]
+    if k == len(rows):
+        return rows
+    fields = rows[k].split(",")
+    if kind == "token":
+        fields[edit[2] % len(fields)] = edit[3]
+    elif kind == "extra field":
+        fields.append(edit[2])
+    else:
+        fields.pop()
+    return rows[:k] + [",".join(fields)] + rows[k + 1:]
+
+
+class TestLoadtxtPathMatchesTheCsvWalk:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["sqe", "chi"]),
+        st.lists(FINITE, min_size=12, max_size=12),
+        st.lists(EDITS, max_size=3),
+        st.sampled_from(HEADER_FORMS),
+        st.randoms(use_true_random=False),
+    )
+    def test_same_table_or_same_fault(self, tmp_path_factory, kind, values, edits, form, rnd):
+        path = tmp_path_factory.mktemp("diff") / f"{kind}.csv"
+        if kind == "sqe":
+            header = pipeline_io.SQE_HEADER
+            grid = SpectrumGrid(
+                q_axis=[0.4, 0.6, 0.8], e_axis=[-0.5, 0.5],
+                intensity=np.reshape(values[:6], (2, 3)),
+                errors=np.abs(np.reshape(values[6:], (2, 3))), temperature=0.5,
+            )
+            write_spectrum_csv(path, grid)
+        else:
+            header = pipeline_io.CHI_HEADER
+            curve = SusceptibilityCurve(np.arange(1.0, 5.0), values[:4], np.abs(values[4:8]))
+            write_susceptibility_csv(path, curve)
+        head, *rows = path.read_text().splitlines()
+        for edit in edits:
+            rows = edit_rows(rows, edit)
+        head = {"exact": [head], "blank line above": [" ", head],
+                "padded cell": [head.replace(",", " ,", 1)],
+                "space inside a name": [head.replace("_", " _", 1)], "wrong": [head.upper()]}[form]
+        text = "".join(line + rnd.choice(["\n", "\r\n"]) for line in head + rows)
+        path.write_bytes(text.rstrip("\r\n").encode() if rnd.random() < 0.2 else text.encode())
+        assert table_outcome(pipeline_io._read_table, path, header) == table_outcome(
+            reference_read_table, path, header
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [row.rsplit(",", 1)[0] for row in GOOD_ROWS],  # every row one field short
+            [row + ",0" for row in GOOD_ROWS],  # every row one field long
+            GOOD_ROWS + ["# note"],
+            with_row(2, "0.8,0.1,2.5,0.1#x"),
+            with_row(2, '"0.8",0.1,2.5,0.1'),
+            with_row(2, "0.8,0.1,2_5,0.1"),
+            with_row(2, "0.8,0.1,٢.5,0.1"),
+            with_row(2, "0.8,0.1,2.5,0.1,"),
+            with_row(2, " 0.8 ,\t0.1,2.5 , 0.1"),
+            with_row(2, "0.8,0.1,nan(1),0.1"),
+            GOOD_ROWS[:3] + ["  \t", ",,,"] + GOOD_ROWS[3:],
+        ],
+    )
+    def test_same_table_or_same_fault_on_chosen_rows(self, tmp_path, rows):
+        path = tmp_path / "sqe.csv"
+        path.write_text("\n".join(["Q_invA,E_meV,intensity,error", *rows]) + "\n")
+        header = pipeline_io.SQE_HEADER
+        assert table_outcome(pipeline_io._read_table, path, header) == table_outcome(
+            reference_read_table, path, header
+        )
+
+    def test_written_files_never_reach_the_csv_walk(self, tmp_path, monkeypatch):
+        paths = generate_synthetic_dataset(
+            CHAIN, STARYKH, [0.5], tmp_path, config=small_config(noise_level=1.0)
+        )
+        monkeypatch.setattr(pipeline_io, "_csv_rows", None)
+        read_susceptibility_csv(paths["chi_csv"])
+        for spectrum in paths["spectra"]:
+            read_spectrum_csv(spectrum["sqe_csv"], MANIFEST)
+
+

@@ -1,7 +1,9 @@
-"""The whole-array cell map of ``Figure.render`` against the per-cell loop
-it replaced, byte for byte."""
+"""The whole-array cell map, lines, fills and markers of ``Figure.render``
+against the per-cell and per-point loops they replaced, byte for byte."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainqfi import svgplot
 from chainqfi.cli import main
@@ -154,3 +156,182 @@ def test_seed7_spinon_overlay(tmp_path, monkeypatch):
     assert assert_same_render(fig, tmp_path, monkeypatch) == written
     (values,) = [el[3] for el in fig._elements if el[0] == "cells"]
     assert n_cell_rects(written) == np.isfinite(values).sum() > 5000
+
+
+def reference_marks(self, el, pxy):
+    """The per-point loop: one px and one py call and two _fmt per point."""
+    px, py = self._scales()[:2]
+    out = []
+    kind = el[0]
+    if kind == "fill":
+        _, x, y, color, opacity, label = el
+        if x.size >= 2:
+            pts = [f"{_fmt(px(x[0]))},{_fmt(py(0.0 if not self.ylog else min(y[y>0], default=1e-30)))}"]
+            pts += [f"{_fmt(px(xi))},{_fmt(py(yi))}" for xi, yi in zip(x, y)]
+            pts.append(f"{_fmt(px(x[-1]))},{_fmt(py(0.0 if not self.ylog else min(y[y>0], default=1e-30)))}")
+            out.append(
+                f'<polygon points="{" ".join(pts)}" fill="{color}" '
+                f'fill-opacity="{opacity}" stroke="none"/>'
+            )
+    elif kind == "line":
+        _, x, y, color, width, dash, label = el
+        if x.size >= 2:
+            pts = " ".join(
+                f"{_fmt(px(xi))},{_fmt(py(yi))}" for xi, yi in zip(x, y)
+            )
+            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+            out.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="{width}"{dash_attr}/>'
+            )
+    elif kind == "points":
+        _, x, y, color, radius, label = el
+        for xi, yi in zip(x, y):
+            out.append(
+                f'<circle cx="{_fmt(px(xi))}" cy="{_fmt(py(yi))}" '
+                f'r="{radius}" fill="{color}"/>'
+            )
+    return out
+
+
+def assert_same_marks(fig, tmp_path, monkeypatch):
+    """Render with the array mapping of lines, fills and markers, then with
+    the per-point loop; the files (or the exception raised) must be equal."""
+    new = outcome(fig, tmp_path / "new.svg")
+    with monkeypatch.context() as m:
+        m.setattr(Figure, "_marks", reference_marks)
+        old = outcome(fig, tmp_path / "old.svg")
+    assert new == old
+    return new
+
+
+def drawn(x, y, **figure_kw):
+    """A figure with one line, one fill and one set of markers on (x, y)."""
+    fig = Figure(title="marks", xlabel="x", ylabel="y", **figure_kw)
+    fig.fill_under(x, y, label="area")
+    fig.line(x, y, dash="5 3", label="curve")
+    fig.points(x, y, radius=3.0, label="data")
+    return fig
+
+
+def append_raw(fig, x, y):
+    """Elements added past ``_track``, as if the axis turned log after drawing:
+    their values can be <= 0 on a log axis."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    fig._elements += [
+        ("fill", x, y, "#17becf", 0.45, None),
+        ("line", x, y, "#d62728", 1.5, None, "raw"),
+        ("points", x, y, "#000000", 2.5, None),
+    ]
+    return fig
+
+
+WAVY_X = np.linspace(0.05, 3.0, 97)
+WAVY_Y = 1.5 + np.sin(3 * WAVY_X) + 1e-3 * RNG.normal(size=WAVY_X.size)
+WITH_NAN_Y = WAVY_Y.copy()
+WITH_NAN_Y[[0, 10, 40]] = np.nan
+AXES = {"linear": {}, "xlog": {"xlog": True}, "ylog": {"ylog": True},
+        "xlog and ylog": {"xlog": True, "ylog": True}}
+MARK_CASES = {
+    "smooth": (WAVY_X, WAVY_Y),
+    "nan values": (WAVY_X, WITH_NAN_Y),
+    "descending x": (WAVY_X[::-1], WAVY_Y),
+    "one point": (WAVY_X[:1], WAVY_Y[:1]),
+    "two points": (WAVY_X[:2], WAVY_Y[:2]),
+    "integer arrays": (np.arange(1, 12), np.arange(1, 12) ** 2),
+    "negative values": (WAVY_X - 1.0, WAVY_Y - 1.5),
+    "wide range": (np.geomspace(1e-12, 1e12, 61), np.geomspace(1e300, 1e-300, 61)),
+}
+
+
+@pytest.mark.parametrize("axes", list(AXES))
+@pytest.mark.parametrize("case", list(MARK_CASES))
+def test_marks_match_the_per_point_loop(case, axes, tmp_path, monkeypatch):
+    x, y = MARK_CASES[case]
+    rendered = assert_same_marks(drawn(x, y, **AXES[axes]), tmp_path, monkeypatch)
+    assert isinstance(rendered, bytes)
+
+
+def test_one_point_line_and_fill_are_skipped(tmp_path, monkeypatch):
+    rendered = assert_same_marks(drawn([2.0], [3.0]), tmp_path, monkeypatch)
+    assert b"<polyline" not in rendered and b"<polygon" not in rendered
+    assert rendered.count(b"<circle") == 1
+
+
+@pytest.mark.parametrize("axes", ["xlog", "ylog"])
+def test_log_axis_with_a_value_at_or_below_zero_raises(axes, tmp_path, monkeypatch):
+    fig = drawn(np.linspace(1.0, 4.0, 5), np.linspace(2.0, 8.0, 5), **AXES[axes])
+    append_raw(fig, [0.5, 1.0, 2.0], [2.0, 4.0, 6.0])
+    assert isinstance(assert_same_marks(fig, tmp_path, monkeypatch), bytes)
+    bad = [1.0, 0.0, 2.0] if axes == "xlog" else [1.0, -1.0, 2.0]
+    append_raw(fig, bad, [2.0, -0.0, 6.0] if axes == "ylog" else [2.0, 4.0, 6.0])
+    assert assert_same_marks(fig, tmp_path, monkeypatch) == "ValueError"
+    # a one-point line or fill is never mapped; its marker is
+    fig = drawn(np.linspace(1.0, 4.0, 5), np.linspace(2.0, 8.0, 5), **AXES[axes])
+    fig._elements += [("line", np.array([0.0]), np.array([-1.0]), "#000000", 1.5, None, None),
+                      ("fill", np.array([0.0]), np.array([-1.0]), "#000000", 0.5, None)]
+    assert isinstance(assert_same_marks(fig, tmp_path, monkeypatch), bytes)
+    fig._elements.append(("points", np.array([0.0]), np.array([-1.0]), "#000000", 2.5, None))
+    assert assert_same_marks(fig, tmp_path, monkeypatch) == "ValueError"
+
+
+def test_nan_and_inf_past_the_tracker(tmp_path, monkeypatch):
+    fig = drawn(WAVY_X, WAVY_Y, xlog=True)
+    append_raw(fig, [0.5, np.nan, np.inf, 2.0], [1.0, 2.0, np.nan, -np.inf])
+    assert b"nan" in assert_same_marks(fig, tmp_path, monkeypatch)
+
+
+def test_marks_under_cells_and_single_value_elements(tmp_path, monkeypatch):
+    fig = cell_map(np.linspace(0.2, 1.4, 9), np.linspace(-0.1, 1.0, 7), WITH_NAN)
+    fig.fill_under(np.linspace(0.2, 1.4, 30), np.linspace(0.0, 0.9, 30) ** 2)
+    fig.line([0.2, 1.4], [0.0, 0.9], color="#d62728", label="bound")
+    fig.vline(0.7, label="peak")
+    fig.hline(0.3)
+    fig.annotate("here", 0.5, 0.5)
+    assert isinstance(assert_same_marks(fig, tmp_path, monkeypatch), bytes)
+
+
+FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(FLOATS, FLOATS), min_size=0, max_size=12),
+    st.sampled_from(list(AXES)),
+)
+def test_marks_match_on_drawn_points(tmp_path_factory, pairs, axes):
+    x = np.array([p[0] for p in pairs], dtype=float)
+    y = np.array([p[1] for p in pairs], dtype=float)
+    tmp_path = tmp_path_factory.mktemp("marks")
+    # no drawable point on a log axis leaves the default range [0, 1], whose
+    # log10 raises ValueError in both
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_marks(drawn(x, y, **AXES[axes]), tmp_path, monkeypatch)
+
+
+def test_seed7_command_figures(tmp_path, monkeypatch):
+    """Every figure the README commands draw, through both mappings."""
+    data = tmp_path / "data"
+    assert main(["synth", "--temps", "0.2,0.5", "--seed", "7", "--noise", "1.0",
+                 "--elastic-amp", "100", "--out", str(data), "--deterministic"]) == 0
+    runs = [
+        ["fit-susceptibility", str(data / "chi.csv"), "--freeze", "g=2.1"],
+        ["witness", str(data / "chi.csv"), "--g", "2.1"],
+        ["qfi", "--model", "--policy", "absolute-value", "--temps", "0.04,0.5,3,6.7"],
+        ["qfi", "--data", str(data / "manifest_T0p2.json"), str(data / "manifest_T0p5.json")],
+        ["spinon", "--data", str(data / "manifest_T0p2.json"), "--j-kelvin", "3.1"],
+    ]
+    figures = []
+    render = Figure.render
+
+    def keep(self, path, timestamp=None):
+        figures.append((self, path))
+        return render(self, path, timestamp)
+
+    with monkeypatch.context() as m:
+        m.setattr(svgplot.Figure, "render", keep)
+        for k, argv in enumerate(runs):
+            assert main([*argv, "--out", str(tmp_path / f"out{k}"), "--deterministic"]) == 0
+    assert len(figures) >= len(runs)
+    for fig, path in figures:
+        assert assert_same_marks(fig, tmp_path, monkeypatch) == open(path, "rb").read()
