@@ -333,8 +333,6 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_spinon(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest, grid, spectrum = pipeline_io.load_dataset(args.data)
     lattice_c = manifest.lattice_c_A
     if lattice_c is None:
@@ -342,8 +340,17 @@ def cmd_spinon(args) -> int:
             f"manifest {args.data} has no lattice_c_A; the chain lattice parameter "
             "is required for the continuum bounds"
         )
+    n_e = int(np.count_nonzero(grid.e_axis >= 0))
+    if n_e < 2:
+        # the map draws cells between neighbouring E >= 0 rows
+        raise ValueError(
+            f"{spectrum['path']}: E_meV has {n_e} value(s) >= 0; the spinon map "
+            "needs at least 2"
+        )
 
     converted = spinon.powder_to_1d(grid)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     pipeline_io.write_spectrum_csv(outdir / "s1d.csv", converted)
 
     j_mev = kelvin_to_mev(args.j_kelvin)

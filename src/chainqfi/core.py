@@ -3,6 +3,8 @@
 Two fixed unit conventions are used throughout: energies in meV with
 temperatures in K (spectroscopy side), and CGS-emu for molar
 susceptibility. All conversions happen explicitly at formula boundaries.
+The physical constants are fixed in ``DEFAULT_UNITS``; every formula reads
+them from there, and none takes them as a parameter.
 """
 from __future__ import annotations
 
@@ -50,21 +52,21 @@ class UnitSystem:
 DEFAULT_UNITS = UnitSystem()
 
 
-def kelvin_to_mev(t, units: UnitSystem = DEFAULT_UNITS):
+def kelvin_to_mev(t):
     """Convert temperature (K) to the equivalent thermal energy (meV)."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("temperature must be finite")
-    out = t * units.boltzmann_mev_per_kelvin
+    out = t * DEFAULT_UNITS.boltzmann_mev_per_kelvin
     return float(out) if out.ndim == 0 else out
 
 
-def mev_to_kelvin(e, units: UnitSystem = DEFAULT_UNITS):
+def mev_to_kelvin(e):
     """Convert an energy (meV) to the equivalent temperature (K)."""
     e = np.asarray(e, dtype=float)
     if not np.all(np.isfinite(e)):
         raise ValueError("energy must be finite")
-    out = e / units.boltzmann_mev_per_kelvin
+    out = e / DEFAULT_UNITS.boltzmann_mev_per_kelvin
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fitter, specfun
-from .core import DEFAULT_UNITS, EnergyCut, UnitSystem
+from .core import DEFAULT_UNITS, EnergyCut
 from .errors import BoseFactorPole, CutoffDomainError, NonPositiveTemperature
 
 __all__ = [
@@ -98,9 +98,7 @@ def scaling_dimension(t: float, params: StarykhParams) -> float:
     return 0.25 * (1.0 - 1.0 / (2.0 * log_ratio))
 
 
-def chi_imag_starykh(
-    omega, t: float, params: StarykhParams, units: UnitSystem = DEFAULT_UNITS
-):
+def chi_imag_starykh(omega, t: float, params: StarykhParams):
     """Imaginary dynamic susceptibility chi''(omega, T), Bose factor cancelled.
 
     Odd in omega (bitwise), exactly zero at omega = 0, nonnegative for
@@ -118,12 +116,10 @@ def chi_imag_starykh(
         * math.sqrt(log_ratio)
         * math.exp(2.0 * math.lgamma(1.0 - 2.0 * delta))  # Gamma(1 - 2d)^2, 1 - 2d in (1/2, 1)
     )
-    return prefactor * specfun.gamma_ratio_im(delta, omega, t, units)
+    return prefactor * specfun.gamma_ratio_im(delta, omega, t)
 
 
-def sqw_starykh(
-    omega, t: float, params: StarykhParams, units: UnitSystem = DEFAULT_UNITS
-):
+def sqw_starykh(omega, t: float, params: StarykhParams):
     """Dynamical structure factor at the zone center (arbitrary units).
 
     Formed as chi'' divided by the detailed-balance factor, so
@@ -133,20 +129,21 @@ def sqw_starykh(
     omega_arr = np.asarray(omega, dtype=float)
     if np.any(omega_arr == 0.0):
         raise BoseFactorPole("S(Q, omega) has a Bose-factor pole at omega = 0")
-    out = chi_imag_starykh(omega_arr, t, params, units) / detailed_balance(omega_arr, t, units)
+    out = chi_imag_starykh(omega_arr, t, params) / detailed_balance(omega_arr, t)
     return float(out) if omega_arr.ndim == 0 else out
 
 
-def detailed_balance(omega, t: float, units: UnitSystem = DEFAULT_UNITS) -> np.ndarray:
+def detailed_balance(omega, t: float) -> np.ndarray:
     """The fluctuation-dissipation factor 1 - exp(-omega/k_B T) = chi''/S."""
-    return -np.expm1(-np.asarray(omega, dtype=float) / (units.boltzmann_mev_per_kelvin * t))
+    kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
+    return -np.expm1(-np.asarray(omega, dtype=float) / (kb * t))
 
 
-def chi_imag_from_sqw(s_value, omega, t: float, units: UnitSystem = DEFAULT_UNITS):
+def chi_imag_from_sqw(s_value, omega, t: float):
     """Fluctuation-dissipation conversion chi'' = (1 - exp(-omega/k_B T)) S."""
     if not (t > 0):
         raise NonPositiveTemperature(f"temperature must be positive, got {t}")
-    out = detailed_balance(omega, t, units) * np.asarray(s_value, dtype=float)
+    out = detailed_balance(omega, t) * np.asarray(s_value, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -196,39 +193,20 @@ def t0_feasible_interval(
     return (lower, upper)
 
 
-def fit_starykh(
-    cuts: Sequence[EnergyCut],
-    initial: StarykhParams,
-    frozen: Iterable[str] = (),
-    calibrations: Sequence[float] | None = None,
-    fit_calibrations: bool = False,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> fitter.FitResult:
+def fit_starykh(cuts: Sequence[EnergyCut], initial: StarykhParams) -> fitter.FitResult:
     """Joint temperature-independent fit of (A, T0) to chi'' energy cuts.
 
     All cuts share one (a_starykh, t0_kelvin) pair. Each dataset k also
-    carries a multiplicative calibration parameter ``cal_k`` (initialized
-    from ``calibrations``, default 1.0). Calibrations stay frozen unless
-    ``fit_calibrations`` is set, in which case the amplitude should be
-    frozen instead: freeing both leaves only their products identifiable.
-    The cutoff parameter is bounded to the feasible interval dictated by
-    the active policy, so the optimizer cannot wander across a domain
-    boundary mid-fit.
+    carries a calibration entry ``cal_k``, frozen at 1.0, so that the
+    result lists one per cut. The cutoff parameter is bounded to the
+    feasible interval dictated by the active policy, so the optimizer
+    cannot wander across a domain boundary mid-fit.
     """
     if not cuts:
         raise ValueError("need at least one energy cut")
-    cals = [1.0] * len(cuts) if calibrations is None else [float(c) for c in calibrations]
-    if len(cals) != len(cuts):
-        raise ValueError("one calibration per cut required")
-
-    frozen = set(frozen)
     cal_names = [f"cal_{k}" for k in range(len(cuts))]
-    if not fit_calibrations:
-        frozen.update(cal_names)
-
     start = {"a_starykh": initial.a_starykh, "t0_kelvin": initial.t0_kelvin}
-    for name, cal in zip(cal_names, cals):
-        start[name] = cal
+    start.update(dict.fromkeys(cal_names, 1.0))
 
     t0_bounds = t0_feasible_interval(
         [c.temperature for c in cuts], initial.negative_log_policy, initial.t0_kelvin
@@ -245,11 +223,9 @@ def fit_starykh(
             negative_log_policy=initial.negative_log_policy,
         )
         blocks = []
-        for k, cut in enumerate(cuts):
-            model = p[cal_names[k]] * chi_imag_starykh(
-                cut.e_axis, cut.temperature, model_params, units
-            )
-            blocks.append((model - cut.values) * weight_blocks[k])
+        for cut, weights in zip(cuts, weight_blocks):
+            model = chi_imag_starykh(cut.e_axis, cut.temperature, model_params)
+            blocks.append((model - cut.values) * weights)
         return np.concatenate(blocks)
 
-    return fitter.least_squares(residuals, start, frozen=frozen, bounds=bounds)
+    return fitter.least_squares(residuals, start, frozen=cal_names, bounds=bounds)

@@ -25,6 +25,10 @@ __all__ = ["FitResult", "least_squares"]
 _RELATIVE_STEP = 1e-7
 _ABSOLUTE_STEP = 1e-10
 _LAMBDA_MAX = 1e15
+# stopping rules: iteration cap, relative cost decrease, scaled step norm
+_MAX_ITERATIONS = 500
+_COST_TOL = 1e-12
+_STEP_TOL = 1e-12
 
 
 @dataclass
@@ -99,19 +103,16 @@ def least_squares(
     initial: Mapping[str, float],
     frozen: Iterable[str] = (),
     bounds: Mapping[str, tuple[float | None, float | None]] | None = None,
-    max_iterations: int = 500,
-    cost_tol: float = 1e-12,
-    step_tol: float = 1e-12,
 ) -> FitResult:
     """Minimize ||residual_fn(params)||^2 over the non-frozen parameters.
 
     ``residual_fn`` receives the full parameter mapping (frozen entries
     included) and returns the weighted residual vector. The Jacobian is
     built by forward differences with step max(1e-7 |p|, 1e-10) on each
-    free coordinate. Convergence: relative cost decrease below ``cost_tol``,
-    scaled step norm below ``step_tol``, or cost at the floating-point
-    noise floor of the initial cost; hard cap ``max_iterations`` (result
-    returned with ``converged=False``).
+    free coordinate. Convergence: relative cost decrease below
+    ``_COST_TOL`` (1e-12), scaled step norm below ``_STEP_TOL`` (1e-12), or
+    cost at the floating-point noise floor of the initial cost; hard cap
+    ``_MAX_ITERATIONS`` (500; result returned with ``converged=False``).
 
     Raises :class:`FitDiverged` when the damping parameter overflows
     without finding an acceptable step and :class:`SingularJacobian` when
@@ -168,7 +169,7 @@ def least_squares(
     converged = False
     message = ""
 
-    while iterations < max_iterations:
+    while iterations < _MAX_ITERATIONS:
         iterations += 1
         jac = jacobian(u, r)
         if not np.all(np.isfinite(jac)):
@@ -209,7 +210,7 @@ def least_squares(
         rel_decrease = (cost - new_cost) / cost if cost > 0 else 0.0
         u, r, cost = u + step, new_r, new_cost
         lam = lam / 10.0 if lam > 1e-12 else 0.0
-        if rel_decrease < cost_tol or step_norm < step_tol or cost <= noise_floor:
+        if rel_decrease < _COST_TOL or step_norm < _STEP_TOL or cost <= noise_floor:
             converged = True
             break
 

@@ -31,13 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, spinon
-from .core import (
-    DEFAULT_UNITS,
-    ChainParameters,
-    EnergyCut,
-    SpectrumGrid,
-    UnitSystem,
-)
+from .core import DEFAULT_UNITS, ChainParameters, EnergyCut, SpectrumGrid
 from .dynamics import StarykhParams
 from .errors import (
     DuplicateAbscissa,
@@ -265,11 +259,17 @@ def _read_table(path, header: list[str]) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, k)
 
 
-def read_susceptibility_csv(path) -> SusceptibilityCurve:
-    """Read a chi(T) curve; rows are sorted by temperature on return."""
-    table = _read_table(path, CHI_HEADER)
+def _read_data(path, header: list[str]) -> np.ndarray:
+    """``_read_table``, refusing a file with a header but no data rows."""
+    table = _read_table(path, header)
     if len(table) == 0:
         raise EmptyFile(f"{path} has a header but no data rows")
+    return table
+
+
+def read_susceptibility_csv(path) -> SusceptibilityCurve:
+    """Read a chi(T) curve; rows are sorted by temperature on return."""
+    table = _read_data(path, CHI_HEADER)
     t, _, sigma = table.T
     bad = np.flatnonzero((t <= 0) | (sigma < 0))
     if bad.size:
@@ -297,7 +297,7 @@ def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> None:
 
 def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
     """Read a long-format S(Q,E) grid; the rectangular grid must be complete."""
-    table = _read_table(path, SQE_HEADER)
+    table = _read_data(path, SQE_HEADER)
     negative = np.flatnonzero(table[:, 3] < 0)
     if negative.size:
         k = int(negative[0])
@@ -421,11 +421,9 @@ def subtract_elastic_line(
     )
 
 
-def apply_fluctuation_dissipation(
-    cut: EnergyCut, units: UnitSystem = DEFAULT_UNITS
-) -> EnergyCut:
+def apply_fluctuation_dissipation(cut: EnergyCut) -> EnergyCut:
     """Convert an S(E) cut to chi''(E) bin by bin; errors scale with the factor."""
-    factor = dynamics.detailed_balance(cut.e_axis, cut.temperature, units)
+    factor = dynamics.detailed_balance(cut.e_axis, cut.temperature)
     return EnergyCut(
         e_axis=cut.e_axis,
         values=factor * cut.values,
@@ -451,20 +449,27 @@ def reduce_to_chi_imag(
     )
 
 
+# Fixed scales of the synthetic generator, recorded in generation.json:
+# model intensity to detector counts, the width (1/A) of each Gaussian of
+# the momentum envelope, and the resolution FWHM (meV) of the elastic line.
+_COUNTS_SCALE = 1.0e4
+_ENVELOPE_WIDTH = 0.25
+_RESOLUTION_FWHM = 0.0175
+
+
 @dataclass
 class SynthConfig:
-    """Knobs of the synthetic dataset generator.
+    """Settings of the synthetic dataset generator.
 
-    ``noise_level`` scales the counting noise (0 disables it);
-    ``counts_scale`` converts model intensity to detector counts. The
+    ``noise_level`` scales the counting noise (0 disables it). The
     momentum envelope of the synthetic 1D signal is a pair of Gaussians
-    (even in q) centered at the antiferromagnetic zone center pi/c.
+    (even in q) centered at the antiferromagnetic zone center pi/c. The
+    counts scale, envelope width and resolution are module constants.
     """
 
     sample: str = "synthetic-chain"
     seed: int = 0
     noise_level: float = 0.0
-    counts_scale: float = 1.0e4
     q_axis: np.ndarray = field(
         default_factory=lambda: np.linspace(0.15, 1.5, 55)
     )
@@ -476,25 +481,21 @@ class SynthConfig:
     )
     chi_noise_level: float = 0.0
     q_window: tuple[float, float] = (0.4, 1.1)
-    envelope_width: float = 0.25
     elastic_amplitude: float = 0.0
     flat_background: float = 0.0
-    resolution_fwhm: float = 0.0175
 
 
-def _magnetic_sqw(
-    e: np.ndarray, t: float, params: StarykhParams, units: UnitSystem
-) -> np.ndarray:
+def _magnetic_sqw(e: np.ndarray, t: float, params: StarykhParams) -> np.ndarray:
     """S(E) on an energy axis, with its finite limit at E = 0."""
     out = np.empty(e.shape)
     nonzero = e != 0.0
-    out[nonzero] = dynamics.sqw_starykh(e[nonzero], t, params, units)
+    out[nonzero] = dynamics.sqw_starykh(e[nonzero], t, params)
     if not nonzero.all():
         # limit of chi''/(1 - exp(-E/kT)) at E = 0: kT * d(chi'')/dE, by a
         # central difference; chi'' is odd, so (chi(h) - chi(-h)) / 2h = chi(h) / h
         h = 1e-6
-        slope = dynamics.chi_imag_starykh(h, t, params, units) / h
-        out[~nonzero] = units.boltzmann_mev_per_kelvin * t * slope
+        slope = dynamics.chi_imag_starykh(h, t, params) / h
+        out[~nonzero] = DEFAULT_UNITS.boltzmann_mev_per_kelvin * t * slope
     return out
 
 
@@ -504,7 +505,6 @@ def generate_synthetic_dataset(
     temperatures: Sequence[float],
     outdir,
     config: SynthConfig | None = None,
-    units: UnitSystem = DEFAULT_UNITS,
 ) -> dict:
     """Write a deterministic synthetic dataset: one chi.csv plus one
     spectrum CSV and manifest per temperature.
@@ -531,7 +531,7 @@ def generate_synthetic_dataset(
 
     # susceptibility curve
     chi_t = np.asarray(cfg.chi_temperatures, dtype=float)
-    chi_clean = chi_full(chi_t, chain, units)
+    chi_clean = chi_full(chi_t, chain)
     sigma = cfg.chi_noise_level * np.abs(chi_clean)
     chi_noisy = chi_clean + rng.normal(size=chi_t.size) * sigma
     curve = SusceptibilityCurve(temperatures=chi_t, chi=chi_noisy, sigma=sigma)
@@ -541,7 +541,7 @@ def generate_synthetic_dataset(
     q_zc = math.pi / chain.lattice_c
 
     def envelope(q):
-        w = cfg.envelope_width
+        w = _ENVELOPE_WIDTH
         return np.exp(-0.5 * ((q - q_zc) / w) ** 2) + np.exp(-0.5 * ((q + q_zc) / w) ** 2)
 
     # powder average of the envelope alone (separability makes this exact)
@@ -555,11 +555,11 @@ def generate_synthetic_dataset(
     )
     window_weight = float(_trapezoid_weights(np.asarray(cfg.q_axis)[sel]) @ env_pwd[sel])
 
-    sigma_g = cfg.resolution_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    sigma_g = _RESOLUTION_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     written = {"chi_csv": str(chi_path), "spectra": []}
     for t in temperatures:
-        sqw_e = _magnetic_sqw(np.asarray(cfg.e_axis, dtype=float), t, starykh, units)
-        counts = cfg.counts_scale * np.outer(sqw_e, env_pwd)
+        sqw_e = _magnetic_sqw(np.asarray(cfg.e_axis, dtype=float), t, starykh)
+        counts = _COUNTS_SCALE * np.outer(sqw_e, env_pwd)
         counts += cfg.elastic_amplitude * np.exp(
             -0.5 * (np.asarray(cfg.e_axis) / sigma_g) ** 2
         )[:, None]
@@ -580,10 +580,10 @@ def generate_synthetic_dataset(
         manifest = DatasetManifest(
             sample=cfg.sample,
             temperature_K=float(t),
-            resolution_fwhm_meV=cfg.resolution_fwhm,
+            resolution_fwhm_meV=_RESOLUTION_FWHM,
             q_window=cfg.q_window,
             lattice_c_A=chain.lattice_c,
-            calibration=cfg.counts_scale * window_weight,
+            calibration=_COUNTS_SCALE * window_weight,
             policies={
                 "negative_log_policy": starykh.negative_log_policy,
                 "clip_negative_chi_imag": True,
@@ -603,15 +603,15 @@ def generate_synthetic_dataset(
         "seed": cfg.seed,
         "noise_level": cfg.noise_level,
         "chi_noise_level": cfg.chi_noise_level,
-        "counts_scale": cfg.counts_scale,
+        "counts_scale": _COUNTS_SCALE,
         "chain": asdict(chain),
         "starykh": asdict(starykh),
         "temperatures": [float(t) for t in temperatures],
         "q_window": list(cfg.q_window),
-        "envelope_width": cfg.envelope_width,
+        "envelope_width": _ENVELOPE_WIDTH,
         "elastic_amplitude": cfg.elastic_amplitude,
         "flat_background": cfg.flat_background,
-        "resolution_fwhm": cfg.resolution_fwhm,
+        "resolution_fwhm": _RESOLUTION_FWHM,
         "files": [
             {"path": os.path.basename(p), "sha256": sha256_of(p)}
             for p in [written["chi_csv"]]

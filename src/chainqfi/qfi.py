@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .core import DEFAULT_UNITS, EnergyCut, UnitSystem
+from .core import DEFAULT_UNITS, EnergyCut
 from .errors import GridTooCoarse, NegativeChiImagWarning, NonPositiveValue, TruncationWarning
 
 __all__ = ["QfiPoint", "ScalingFit", "qfi_integrand", "compute_qfi", "fit_scaling"]
@@ -55,14 +55,13 @@ class ScalingFit:
     z: float
 
 
-def qfi_integrand(omega, t: float, chi_imag, units: UnitSystem = DEFAULT_UNITS):
+def qfi_integrand(omega, t: float, chi_imag):
     """tanh(omega / 2 k_B T) * chi''; omega in meV, T in K."""
     if not (t > 0):
         raise ValueError(f"temperature must be positive, got {t}")
     omega_arr = np.asarray(omega, dtype=float)
-    out = np.tanh(omega_arr / (2.0 * units.boltzmann_mev_per_kelvin * t)) * np.asarray(
-        chi_imag, dtype=float
-    )
+    kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
+    out = np.tanh(omega_arr / (2.0 * kb * t)) * np.asarray(chi_imag, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -87,7 +86,7 @@ def _trapezoid_tail_fraction(e: np.ndarray, integrand: np.ndarray, omega_max: fl
     return float(np.trapezoid(integrand[mask], e[mask]) / total)
 
 
-def _qfi_tabulated(cut: EnergyCut, omega_max: float, units: UnitSystem) -> QfiPoint:
+def _qfi_tabulated(cut: EnergyCut, omega_max: float) -> QfiPoint:
     if cut.e_axis[-1] < omega_max:
         raise GridTooCoarse(
             f"energy grid ends at {cut.e_axis[-1]:g} meV, below omega_max = "
@@ -114,7 +113,7 @@ def _qfi_tabulated(cut: EnergyCut, omega_max: float, units: UnitSystem) -> QfiPo
         # the integrand vanishes at omega = 0 for any finite chi''
         e = np.concatenate(([0.0], e))
         chi = np.concatenate(([0.0], chi))
-    integrand = qfi_integrand(e, cut.temperature, chi, units)
+    integrand = qfi_integrand(e, cut.temperature, chi)
     f_q = (4.0 / math.pi) * float(np.trapezoid(integrand, e))
     # error estimate: compare against the half-resolution trapezoid
     coarse_idx = np.arange(0, e.size, 2)
@@ -132,13 +131,11 @@ def _qfi_tabulated(cut: EnergyCut, omega_max: float, units: UnitSystem) -> QfiPo
     )
 
 
-def _qfi_model(
-    chi_fn: Callable, t: float, omega_max: float, units: UnitSystem
-) -> QfiPoint:
+def _qfi_model(chi_fn: Callable, t: float, omega_max: float) -> QfiPoint:
     chi_nodes = quadrature.array_function(chi_fn)
     cut = (1.0 - _TAIL_FRACTION_OF_RANGE) * omega_max
     result = quadrature.gauss_kronrod(
-        lambda w: qfi_integrand(w, t, chi_nodes(w), units),
+        lambda w: qfi_integrand(w, t, chi_nodes(w)),
         [0.0, cut, omega_max],
         epsrel=1e-8,
         what=f"F_Q at T = {t:g} K",
@@ -159,7 +156,6 @@ def compute_qfi(
     source: EnergyCut | Callable[[float], float],
     t: float | None = None,
     omega_max: float | None = None,
-    units: UnitSystem = DEFAULT_UNITS,
 ) -> QfiPoint:
     """Evaluate F_Q(T) from a tabulated chi'' cut or a model closure.
 
@@ -181,10 +177,10 @@ def compute_qfi(
             raise ValueError(
                 f"explicit t = {t} disagrees with cut temperature {source.temperature}"
             )
-        return _qfi_tabulated(source, omega_max, units)
+        return _qfi_tabulated(source, omega_max)
     if t is None or not (t > 0):
         raise ValueError("model closures require a positive temperature t")
-    return _qfi_model(source, t, omega_max, units)
+    return _qfi_model(source, t, omega_max)
 
 
 def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_UNITS, UnitSystem
+from .core import DEFAULT_UNITS
 from .errors import DomainError, NonPositiveTemperature, PoleAtNonPositiveInteger
 
 __all__ = ["log_gamma_complex", "gamma_ratio_im"]
@@ -72,12 +72,7 @@ def log_gamma_complex(z: complex) -> complex:
     return complex(_log_pi_over_sin(z) - _lanczos(1.0 - z))
 
 
-def gamma_ratio_im(
-    delta: float,
-    omega,
-    temperature: float,
-    units: UnitSystem = DEFAULT_UNITS,
-):
+def gamma_ratio_im(delta: float, omega, temperature: float):
     """Im of Gamma^2(delta - ix) / Gamma^2(1 - delta - ix), x = omega / (4 pi k_B T).
 
     ``omega`` is in meV (scalar or array; a scalar gives a float),
@@ -100,7 +95,8 @@ def gamma_ratio_im(
     # 1-d throughout: numpy scalar arithmetic rounds some complex operations
     # differently from the array loops, and a scalar call must equal the
     # matching element of an array call
-    x = omega_arr.reshape(-1) / (4.0 * math.pi * units.boltzmann_mev_per_kelvin * temperature)
+    kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
+    x = omega_arr.reshape(-1) / (4.0 * math.pi * kb * temperature)
     y = np.abs(x)
     log_ratio = 2.0 * (
         _log_pi_over_sin(delta - 1j * y) - 2.0 * _lanczos((1.0 - delta) - 1j * y).real

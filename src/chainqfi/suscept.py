@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from . import fitter
-from .core import DEFAULT_UNITS, ChainParameters, UnitSystem
+from .core import DEFAULT_UNITS, ChainParameters
 from .core import _freeze, _frozen_array, _require_strictly_increasing
 from .errors import NonPositiveTemperature, NoInteriorMaximum
 
@@ -92,41 +92,37 @@ def _as_temperature_array(t):
     return arr
 
 
-def _chain(t, j_over_kb, g_factor, units: UnitSystem):
-    moment = g_factor * units.bohr_magneton
-    curie = units.avogadro * moment**2 / (units.boltzmann_erg_per_kelvin * t)
+def _chain(t, j_over_kb, g_factor):
+    u = DEFAULT_UNITS
+    moment = g_factor * u.bohr_magneton
+    curie = u.avogadro * moment**2 / (u.boltzmann_erg_per_kelvin * t)
     return curie * _pade(j_over_kb / t)
 
 
-def _chain_full(t, p, units: UnitSystem, impurity_curie: bool):
+def _chain_full(t, p, impurity_curie: bool):
     """chi_full on validated temperatures; ``p`` maps j_over_kb, g_factor, c0, c1."""
     impurity = p["c0"] / t if impurity_curie else p["c0"]
-    return impurity + p["c1"] + _chain(t, p["j_over_kb"], p["g_factor"], units)
+    return impurity + p["c1"] + _chain(t, p["j_over_kb"], p["g_factor"])
 
 
-def chi_bonner_fisher(t, params: ChainParameters, units: UnitSystem = DEFAULT_UNITS):
+def chi_bonner_fisher(t, params: ChainParameters):
     """Uniform-chain susceptibility (emu/mole) at temperature ``t`` (K).
 
     Positive everywhere, Curie-like at high temperature, with a single
     maximum at T = 0.640851 J/k_B.
     """
-    out = _chain(_as_temperature_array(t), params.j_over_kb, params.g_factor, units)
+    out = _chain(_as_temperature_array(t), params.j_over_kb, params.g_factor)
     return float(out) if out.ndim == 0 else out
 
 
-def chi_full(
-    t,
-    params: ChainParameters,
-    units: UnitSystem = DEFAULT_UNITS,
-    impurity_curie: bool = False,
-):
+def chi_full(t, params: ChainParameters, impurity_curie: bool = False):
     """Chain susceptibility plus the impurity and diamagnetic constants.
 
     With ``impurity_curie=False`` (default) the impurity term is the
     literal constant ``c0``; with True it is read as a Curie coefficient
     and contributes ``c0 / t`` (c0 then in emu K/mole).
     """
-    out = _chain_full(_as_temperature_array(t), vars(params), units, impurity_curie)
+    out = _chain_full(_as_temperature_array(t), vars(params), impurity_curie)
     return float(out) if out.ndim == 0 else out
 
 
@@ -134,7 +130,6 @@ def fit_susceptibility(
     curve: SusceptibilityCurve,
     initial: ChainParameters,
     frozen: Iterable[str] = ("c1",),
-    units: UnitSystem = DEFAULT_UNITS,
     impurity_curie: bool = False,
 ) -> fitter.FitResult:
     """Weighted least-squares fit of chi_full to a measured curve.
@@ -152,7 +147,7 @@ def fit_susceptibility(
     t = curve.temperatures
 
     def residuals(p):
-        return (_chain_full(t, p, units, impurity_curie) - curve.chi) * weights
+        return (_chain_full(t, p, impurity_curie) - curve.chi) * weights
 
     start = {
         "j_over_kb": initial.j_over_kb,
@@ -196,18 +191,12 @@ def find_tmax(temperatures, chi_values) -> tuple[float, float]:
     return float(vertex), float(uncertainty)
 
 
-def find_tmax_model(
-    params: ChainParameters,
-    step: float = 0.01,
-    t_min: float | None = None,
-    t_max: float | None = None,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> tuple[float, float]:
-    """find_tmax applied to the chain model sampled at ``step`` K."""
-    lo = t_min if t_min is not None else 0.2 * params.j_over_kb
-    hi = t_max if t_max is not None else 2.0 * params.j_over_kb
+def find_tmax_model(params: ChainParameters, step: float = 0.01) -> tuple[float, float]:
+    """find_tmax applied to the chain model sampled at ``step`` K over
+    [0.2 J, 2 J], which brackets the peak at 0.640851 J."""
+    lo, hi = 0.2 * params.j_over_kb, 2.0 * params.j_over_kb
     t = np.arange(lo, hi + 0.5 * step, step)
-    return find_tmax(t, chi_bonner_fisher(t, params, units))
+    return find_tmax(t, chi_bonner_fisher(t, params))
 
 
 def j_from_tmax(t_max: float) -> float:
@@ -217,11 +206,7 @@ def j_from_tmax(t_max: float) -> float:
     return t_max / TMAX_OVER_J
 
 
-def witness_mwse(
-    curve: SusceptibilityCurve,
-    params: ChainParameters,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> WitnessSeries:
+def witness_mwse(curve: SusceptibilityCurve, params: ChainParameters) -> WitnessSeries:
     """Macroscopic spin-entanglement witness from the averaged susceptibility.
 
     MW_SE(T) = 3 k_B T chi(T) / ((g mu_B)^2 N S) - 1, with the input curve
@@ -230,8 +215,9 @@ def witness_mwse(
     nonnegative values.
     """
     t = curve.temperatures
-    denom = (params.g_factor * units.bohr_magneton) ** 2 * units.avogadro * params.spin
-    mw = 3.0 * units.boltzmann_erg_per_kelvin * t * curve.chi / denom - 1.0
+    u = DEFAULT_UNITS
+    denom = (params.g_factor * u.bohr_magneton) ** 2 * u.avogadro * params.spin
+    mw = 3.0 * u.boltzmann_erg_per_kelvin * t * curve.chi / denom - 1.0
 
     t_se = None
     for i in range(mw.size - 1):

@@ -28,7 +28,10 @@ def _screen(v, log: bool, lo: float, hi: float, a: int, b: int) -> list[str]:
 
 
 def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if not (hi > lo):
+    """Round tick values in [lo, hi]; a range flat to within 1e-12 of its
+    magnitude gets the one tick ``lo``, since a step below the float
+    spacing at the ticks would never advance ``v``."""
+    if not (hi - lo > 1e-12 * max(abs(lo), abs(hi))):
         return [lo]
     raw = (hi - lo) / max(target, 2)
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -36,10 +39,10 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    v = first
-    while v <= hi + 1e-9 * step:
+    v = math.ceil(lo / step) * step
+    # step >= (hi - lo) / max(target, 2) leaves at most max(target, 2) + 1 ticks
+    while v <= hi + 1e-9 * step and len(ticks) <= max(target, 2) + 1:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks
@@ -60,22 +63,24 @@ _VIRIDIS = np.array((
 
 @dataclass
 class Figure:
-    """One panel with linear or log axes and a draw-order element list."""
+    """One panel with linear or log axes and a draw-order element list; the
+    size and margins (pixels) are fixed."""
 
-    width: int = 640
-    height: int = 460
+    width = 640
+    height = 460
+    margin_left = 72
+    margin_right = 20
+    margin_top = 36
+    margin_bottom = 52
+
     title: str = ""
     xlabel: str = ""
     ylabel: str = ""
     xlog: bool = False
     ylog: bool = False
-    _elements: list = field(default_factory=list)
-    _xdata: list = field(default_factory=list)
-    _ydata: list = field(default_factory=list)
-    margin_left: int = 72
-    margin_right: int = 20
-    margin_top: int = 36
-    margin_bottom: int = 52
+    _elements: list = field(default_factory=list, init=False)
+    _xdata: list = field(default_factory=list, init=False)
+    _ydata: list = field(default_factory=list, init=False)
 
     def _track(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -127,8 +132,9 @@ class Figure:
         return np.concatenate(([first], mids, [last]))
 
     def _scales(self):
-        xs = np.array(self._xdata) if self._xdata else np.array([0.0, 1.0])
-        ys = np.array(self._ydata) if self._ydata else np.array([0.0, 1.0])
+        # with nothing drawable the range is [0, 1], or [1, 10] on a log axis
+        xs = np.array(self._xdata or ([1.0, 10.0] if self.xlog else [0.0, 1.0]))
+        ys = np.array(self._ydata or ([1.0, 10.0] if self.ylog else [0.0, 1.0]))
         xlo, xhi = float(xs.min()), float(xs.max())
         ylo, yhi = float(ys.min()), float(ys.max())
         if self.xlog:

@@ -368,6 +368,25 @@ class TestRuntimeWithoutScipy:
         assert qfi.returncode == 0, qfi.stderr
         assert (tmp_path / "qfi" / "qfi_points.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-susceptibility", "{data}/chi.csv", "--freeze", "g=2.1"],
+            ["witness", "{data}/chi.csv", "--g", "2.1"],
+            ["qfi", "--data", "{data}/manifest_T0p2.json", "{data}/manifest_T0p5.json"],
+            ["spinon", "--data", "{data}/manifest_T0p2.json", "--j-kelvin", "3.1"],
+        ],
+        ids=["fit-susceptibility", "witness", "qfi --data", "spinon"],
+    )
+    def test_readme_analysis_commands(self, tmp_path, argv):
+        data = tmp_path / "data"
+        assert main(["synth", "--temps", "0.2,0.5", "--seed", "7", "--noise", "1.0",
+                     "--elastic-amp", "100", "--out", str(data), "--deterministic"]) == 0
+        argv = [a.format(data=data) for a in argv]
+        done = self.run(*argv, "--out", str(tmp_path / "out"), "--deterministic")
+        assert done.returncode == 0, done.stderr
+        assert any((tmp_path / "out").iterdir())
+
 
 def single_error(capsys) -> dict:
     """The one JSON error line a failing command leaves on stderr."""
@@ -483,6 +502,52 @@ class TestSpectrumFaultNamesTheFile:
             "error": "ParseError",
             "message": f"{sqe}: line 5: expected 4 fields, got 3",
         }
+
+
+def write_dataset(root, grid) -> Path:
+    """A spectrum CSV and its manifest under ``root``; returns the manifest."""
+    root.mkdir()
+    write_spectrum_csv(root / "sqe.csv", grid)
+    manifest = root / "manifest.json"
+    DatasetManifest(
+        sample="x", temperature_K=grid.temperature, resolution_fwhm_meV=0.0175,
+        q_window=(0.4, 0.8), lattice_c_A=5.32,
+        inputs=[{"path": "sqe.csv", "sha256": sha256_of(root / "sqe.csv")}],
+    ).save(manifest)
+    return manifest
+
+
+class TestSpinonGridChecks:
+    """spinon refuses a grid it cannot draw or a spectrum with no rows before
+    it writes anything."""
+
+    def test_one_energy_at_or_above_zero(self, tmp_path, capsys):
+        q, e = [0.4, 0.6, 0.8], [-0.1, 0.0]
+        grid = SpectrumGrid(q, e, np.ones((2, 3)), np.full((2, 3), 0.1), 0.5)
+        manifest = write_dataset(tmp_path / "data", grid)
+        out = tmp_path / "o"
+        code = main(["spinon", "--data", str(manifest), "--out", str(out), "--deterministic"])
+        err = single_error(capsys)
+        assert code == 2
+        assert err == {
+            "error": "ValueError",
+            "message": f"{tmp_path / 'data' / 'sqe.csv'}: E_meV has 1 value(s) >= 0; "
+            "the spinon map needs at least 2",
+        }
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_header_only_spectrum(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        make_dataset(data, temps=(0.5,))
+        sqe, manifest = data / "sqe_T0p5.csv", data / "manifest_T0p5.json"
+        sqe.write_text("Q_invA,E_meV,intensity,error\n")
+        rewrite_manifest(manifest, inputs=[{"path": sqe.name, "sha256": sha256_of(sqe)}])
+        out = tmp_path / "o"
+        code = main(["spinon", "--data", str(manifest), "--out", str(out)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err == {"error": "EmptyFile", "message": f"{sqe} has a header but no data rows"}
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestTempsFlag:

@@ -687,6 +687,25 @@ class TestFaultLinesCountBlankRows:
             read_spectrum_csv(path, MANIFEST)
 
 
+class TestHeaderWithoutRows:
+    """Both readers refuse a file whose header has no data rows under it,
+    with one message that names the file."""
+
+    @pytest.mark.parametrize("reader", ["spectrum", "chi"])
+    @pytest.mark.parametrize("below", ["", "\n", "\n  \n,,,\n", "\r\n"])
+    def test_empty_file_names_the_path(self, tmp_path, reader, below):
+        path = tmp_path / "data.csv"
+        if reader == "spectrum":
+            header = pipeline_io.SQE_HEADER
+            read = functools.partial(read_spectrum_csv, manifest=MANIFEST)
+        else:
+            header, read = pipeline_io.CHI_HEADER, read_susceptibility_csv
+        path.write_text(",".join(header) + "\n" + below, newline="")
+        with pytest.raises(EmptyFile) as info:
+            read(path)
+        assert str(info.value) == f"{path} has a header but no data rows"
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("reader", ["spectrum", "chi"])
     def test_parse_error_names_the_file_and_byte(self, tmp_path, reader):

@@ -1,10 +1,16 @@
 """The whole-array cell map, lines, fills and markers of ``Figure.render``
 against the per-cell and per-point loops they replaced, byte for byte."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainqfi
 from chainqfi import svgplot
 from chainqfi.cli import main
 from chainqfi.svgplot import Figure, _fmt
@@ -335,3 +341,52 @@ def test_seed7_command_figures(tmp_path, monkeypatch):
     assert len(figures) >= len(runs)
     for fig, path in figures:
         assert assert_same_marks(fig, tmp_path, monkeypatch) == open(path, "rb").read()
+
+
+def render_in_subprocess(tmp_path, figure_code: str) -> bytes:
+    """Render the figure built by ``figure_code`` (bound to ``f``) in a fresh
+    process, so that a hang fails the test instead of stalling the suite."""
+    src = str(Path(chainqfi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = tmp_path / "fig.svg"
+    script = f"from chainqfi.svgplot import Figure\n{figure_code}\nf.render({str(path)!r})\n"
+    try:
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"render did not return within 60 s: {figure_code}")
+    assert done.returncode == 0, done.stderr
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_series_flat_to_rounding_renders(tmp_path, axis):
+    flat = "[1.0, 1.0000000000000002]"
+    xy = f"[0.0, 1.0], {flat}" if axis == "y" else f"{flat}, [0.0, 1.0]"
+    svg = render_in_subprocess(tmp_path, f"f = Figure()\nf.line({xy})")
+    assert svg.count(b"<polyline") == 1
+
+
+@pytest.mark.parametrize("axes", ["xlog", "ylog"])
+def test_log_axis_with_nothing_drawable_renders(tmp_path, axes):
+    xy = "[-1.0, 0.0], [1.0, 2.0]" if axes == "xlog" else "[1.0, 2.0], [-1.0, 0.0]"
+    svg = render_in_subprocess(tmp_path, f"f = Figure({axes}=True)\nf.line({xy})")
+    assert b"<polyline" not in svg and svg.endswith(b"</svg>\n")
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-3e8, -3e8 + 1e-5), (1.0, 1.0 + 1e-13), (0.0, 0.0), (2.0, 1.0)]
+)
+def test_nice_ticks_on_a_flat_range_is_one_tick(lo, hi):
+    # a range one ulp wide is tested above, in a subprocess, where a hang
+    # fails the test instead of stalling the suite
+    assert svgplot.nice_ticks(lo, hi) == [lo]
+
+
+@pytest.mark.parametrize("target", [1, 2, 4, 5, 9])
+def test_nice_ticks_count_is_bounded(target):
+    for lo, hi in [(0.0, 1.0), (-7.3, 12.1), (1e-9, 3e-9), (0.99, 1.01)]:
+        ticks = svgplot.nice_ticks(lo, hi, target)
+        assert 1 <= len(ticks) <= max(target, 2) + 2
+        assert ticks == sorted(ticks) and lo <= ticks[0] and ticks[-1] <= hi + 1e-6 * (hi - lo)
