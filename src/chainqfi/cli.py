@@ -340,6 +340,11 @@ def cmd_spinon(args) -> int:
             f"manifest {args.data} has no lattice_c_A; the chain lattice parameter "
             "is required for the continuum bounds"
         )
+    if grid.q_axis.size < 3:
+        raise ValueError(
+            f"{spectrum['path']}: Q_invA has {grid.q_axis.size} value(s); the "
+            "powder-to-1D conversion needs at least 3"
+        )
     n_e = int(np.count_nonzero(grid.e_axis >= 0))
     if n_e < 2:
         # the map draws cells between neighbouring E >= 0 rows
@@ -420,20 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress timestamps so outputs are byte-identical across runs",
     )
-    common.add_argument(
+    j_kelvin = argparse.ArgumentParser(add_help=False)
+    j_kelvin.add_argument("--j-kelvin", type=float, default=3.1, help="exchange J/k_B in K")
+    policy = argparse.ArgumentParser(add_help=False)
+    policy.add_argument(
         "--policy",
         choices=("strict", "absolute-value"),
         default=None,
         help="negative-log policy for temperatures above the cutoff",
     )
-    common.add_argument(
-        "--omega-max",
-        type=float,
-        default=None,
-        help="upper integration limit in meV (default: pi * J)",
-    )
-    common.add_argument("--z", type=float, default=1.0, help="dynamic critical exponent")
-    common.add_argument("--j-kelvin", type=float, default=3.1, help="exchange J/k_B in K")
 
     parser = argparse.ArgumentParser(
         prog="chainqfi",
@@ -468,14 +468,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fit_susceptibility)
 
-    p = sub.add_parser("witness", parents=[common], help="entanglement witness from chi(T)")
+    p = sub.add_parser(
+        "witness", parents=[common, j_kelvin], help="entanglement witness from chi(T)"
+    )
     p.add_argument("chi_csv", help="input chi.csv")
     p.add_argument("--g", type=float, required=True, help="Lande g factor")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser(
-        "qfi", parents=[common], help="quantum Fisher information and scaling fit"
+        "qfi",
+        parents=[common, policy, j_kelvin],
+        help="quantum Fisher information and scaling fit",
     )
+    p.add_argument(
+        "--omega-max",
+        type=float,
+        default=None,
+        help="upper integration limit in meV (default: pi * J)",
+    )
+    p.add_argument("--z", type=float, default=1.0, help="dynamic critical exponent")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", action="store_true", help="pure-model evaluation")
     group.add_argument("--data", nargs="+", metavar="MANIFEST", help="dataset manifests")
@@ -489,12 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser(
-        "spinon", parents=[common], help="powder-to-1D conversion with continuum bounds"
+        "spinon", parents=[common, j_kelvin], help="powder-to-1D conversion with continuum bounds"
     )
     p.add_argument("--data", required=True, metavar="MANIFEST", help="dataset manifest")
     p.set_defaults(func=cmd_spinon)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser(
+        "synth", parents=[common, policy, j_kelvin], help="generate a synthetic dataset"
+    )
     p.add_argument("--g", type=float, default=2.1)
     p.add_argument("--c0", type=float, default=0.0)
     p.add_argument("--c1", type=float, default=0.0)

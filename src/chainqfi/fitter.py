@@ -9,6 +9,13 @@ one-sided) so the optimizer never sees a constraint boundary.
 A Gauss-Newton step (no damping) is attempted first whenever the previous
 step succeeded, so linear problems converge in one step; damping kicks in
 only when an undamped step fails. Accepted steps never increase the cost.
+
+A starting Jacobian of deficient rank hands the fit to a Nelder-Mead simplex
+with coefficients (1, 2, 1/2, 1/2) (Nelder & Mead, Comput. J. 7, 308 (1965);
+Lagarias et al., SIAM J. Optim. 9, 112 (1998)) and first steps of 5 % per
+coordinate (0.00025 from zero). A run stops at a spread of 1e-10 in every
+coordinate and in cost, or after 2000 iterations per coordinate; up to 5 runs
+restart from the best point until one gains less than a relative 1e-10.
 """
 from __future__ import annotations
 
@@ -175,17 +182,17 @@ def least_squares(
         if not np.all(np.isfinite(jac)):
             raise SingularJacobian("Jacobian contains non-finite entries")
         if iterations == 1 and np.linalg.matrix_rank(jac) < n_free:
-            return _nelder_mead_fallback(
-                evaluate, jacobian, unpack, transforms, u, free_names, frozen
-            )
+            u, iterations = _nelder_mead(lambda v: float((rv := evaluate(v)) @ rv), u)
+            r = evaluate(u)
+            cost = float(r @ r)
+            converged = True
+            message = "nelder-mead fallback (singular starting Jacobian)"
+            break
         grad = jac.T @ r
         normal = jac.T @ jac
         diag = np.diag(normal).copy()
         diag[diag == 0.0] = 1.0
 
-        step = None
-        new_r = None
-        new_cost = None
         while True:
             try:
                 delta = np.linalg.solve(normal + lam * np.diag(diag), -grad)
@@ -219,15 +226,6 @@ def least_squares(
 
     jac = jacobian(u, r)
     scale = np.array([tr.derivative(uk) for tr, uk in zip(transforms, u)])
-    return _assemble_result(
-        jac, scale, r, cost, unpack(u), free_names, frozen, iterations, converged, message
-    )
-
-
-def _assemble_result(
-    jac, scale, r, cost, params, free_names, frozen, iterations, converged, message
-) -> FitResult:
-    m, n_free = r.size, len(free_names)
     dof = m - n_free
     sigma2 = cost / dof if dof > 0 else 0.0
     normal = jac.T @ jac
@@ -240,6 +238,7 @@ def _assemble_result(
     # map the covariance back to parameter units
     cov = cov * np.outer(scale, scale)
     cov = 0.5 * (cov + cov.T)
+    params = unpack(u)
     errors = {name: 0.0 for name in params}
     for k, name in enumerate(free_names):
         errors[name] = math.sqrt(max(cov[k, k], 0.0))
@@ -249,7 +248,7 @@ def _assemble_result(
         covariance=cov,
         free_names=free_names,
         residual_norm=math.sqrt(cost),
-        reduced_chi2=cost / dof if dof > 0 else 0.0,
+        reduced_chi2=sigma2,
         iterations=iterations,
         converged=converged,
         frozen_mask={name: (name in frozen) for name in params},
@@ -257,45 +256,45 @@ def _assemble_result(
     )
 
 
-def _nelder_mead_fallback(
-    evaluate, jacobian, unpack, transforms, u0, free_names, frozen
-) -> FitResult:
-    """Derivative-free rescue for a rank-deficient starting Jacobian."""
-    from scipy.optimize import minimize
-
-    def cost_fn(u):
-        r = evaluate(u)
-        return float(r @ r)
-
-    u = u0.copy()
-    best = cost_fn(u)
-    total_iters = 0
-    for _ in range(5):  # restart until no further improvement
-        res = minimize(
-            cost_fn,
-            u,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000 * len(u)},
-        )
-        total_iters += int(res.nit)
-        if res.fun >= best * (1.0 - 1e-10) and not res.fun < best:
+def _nelder_mead(cost_fn: Callable[[np.ndarray], float], u0: np.ndarray):
+    """The restarted Nelder-Mead minimum of ``cost_fn`` from ``u0``: (u, iterations)."""
+    n = u0.size
+    u, best, iterations = u0, cost_fn(u0), 0
+    for _ in range(5):
+        sim = np.tile(u, (n + 1, 1))
+        np.fill_diagonal(sim[1:], np.where(u != 0, 1.05 * u, 0.00025))
+        fsim = np.array([cost_fn(x) for x in sim])
+        for nit in range(1, 2000 * n + 1):
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+            if nit == 2000 * n or (
+                np.abs(sim[1:] - sim[0]).max() <= 1e-10
+                and np.abs(fsim[1:] - fsim[0]).max() <= 1e-10
+            ):
+                break
+            # trial points centroid + t (centroid - worst) for t = 1, 2, 1/2, -1/2
+            centroid, worst = sim[:-1].sum(axis=0) / n, sim[-1]
+            x_r = 2.0 * centroid - worst
+            f_r = cost_fn(x_r)
+            if f_r < fsim[0]:
+                x_e = 3.0 * centroid - 2.0 * worst
+                f_e = cost_fn(x_e)
+                sim[-1], fsim[-1] = (x_e, f_e) if f_e < f_r else (x_r, f_r)
+            elif f_r < fsim[-2]:
+                sim[-1], fsim[-1] = x_r, f_r
+            else:
+                outside = f_r < fsim[-1]
+                x_c = 1.5 * centroid - 0.5 * worst if outside else 0.5 * (centroid + worst)
+                f_c = cost_fn(x_c)
+                if (f_c <= f_r) if outside else (f_c < fsim[-1]):
+                    sim[-1], fsim[-1] = x_c, f_c
+                else:  # shrink every vertex halfway towards the best
+                    sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                    fsim[1:] = [cost_fn(x) for x in sim[1:]]
+        iterations += nit
+        if not fsim[0] < best:
             break
-        improvement = (best - res.fun) / best if best > 0 else 0.0
-        u, best = np.asarray(res.x), float(res.fun)
-        if improvement < 1e-10:
+        u, best, gain = sim[0], fsim[0], (best - fsim[0]) / best
+        if gain < 1e-10:
             break
-    r = evaluate(u)
-    jac = jacobian(u, r)
-    scale = np.array([tr.derivative(uk) for tr, uk in zip(transforms, u)])
-    return _assemble_result(
-        jac,
-        scale,
-        r,
-        float(r @ r),
-        unpack(u),
-        free_names,
-        frozen,
-        total_iters,
-        True,
-        "nelder-mead fallback (singular starting Jacobian)",
-    )
+    return u, iterations

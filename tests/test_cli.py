@@ -294,6 +294,27 @@ class TestCliContract:
             build_parser().parse_args(["witness", "x.csv", "--g", "2.0", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (argv, flag)
+            for argv, flags in [
+                (["fit-susceptibility", "x.csv"], ["--policy", "--omega-max", "--z", "--j-kelvin"]),
+                (["witness", "x.csv", "--g", "2.0"], ["--policy", "--omega-max", "--z"]),
+                (["spinon", "--data", "m.json"], ["--policy", "--omega-max", "--z"]),
+                (["synth"], ["--omega-max", "--z"]),
+            ]
+            for flag in flags
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_flag_a_command_would_ignore_is_fatal(self, capsys, argv, flag):
+        value = "strict" if flag == "--policy" else "1.0"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         chi_csv = write_chi(tmp_path / "chi.csv", n=40)
         for run in ("a", "b"):
@@ -386,6 +407,26 @@ class TestRuntimeWithoutScipy:
         done = self.run(*argv, "--out", str(tmp_path / "out"), "--deterministic")
         assert done.returncode == 0, done.stderr
         assert any((tmp_path / "out").iterdir())
+
+    def test_forced_fallback(self):
+        # the residual depends on a + b only, so the starting Jacobian has rank 1
+        script = _WITHOUT_SCIPY.split("from chainqfi.cli")[0] + """
+import numpy as np
+from chainqfi.fitter import least_squares
+
+target = np.array([1.0, 2.0, 3.0])
+res = least_squares(lambda p: (p["a"] + p["b"]) * np.ones(3) - target, {"a": 0.0, "b": 0.0})
+assert res.message.startswith("nelder-mead fallback"), res.message
+assert abs(res.parameters["a"] + res.parameters["b"] - 2.0) < 1e-6
+assert "scipy" not in sys.modules
+"""
+        src = str(Path(chainqfi.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 def single_error(capsys) -> dict:
@@ -548,6 +589,23 @@ class TestSpinonGridChecks:
         assert code == 2
         assert err == {"error": "EmptyFile", "message": f"{sqe} has a header but no data rows"}
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("q", [[0.6], [0.6, 0.7]], ids=["one Q", "two Q"])
+    def test_fewer_than_three_momenta(self, tmp_path, capsys, q):
+        e = [-0.1, 0.0, 0.1, 0.2]
+        shape = (len(e), len(q))
+        grid = SpectrumGrid(q, e, np.ones(shape), np.full(shape, 0.1), 0.5)
+        manifest = write_dataset(tmp_path / "data", grid)
+        out = tmp_path / "o"
+        code = main(["spinon", "--data", str(manifest), "--out", str(out), "--deterministic"])
+        err = single_error(capsys)
+        assert code == 2
+        assert err == {
+            "error": "ValueError",
+            "message": f"{tmp_path / 'data' / 'sqe.csv'}: Q_invA has {len(q)} value(s); "
+            "the powder-to-1D conversion needs at least 3",
+        }
+        assert not out.exists()
 
 
 class TestTempsFlag:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from chainqfi import fitter
 from chainqfi.errors import FitDiverged
 from chainqfi.fitter import least_squares
 
@@ -158,3 +160,40 @@ class TestBoundsAndFallback:
 
         with pytest.raises(FitDiverged):
             least_squares(residuals, {"a": 1.4})
+
+
+class TestNelderMeadAgainstScipy:
+    """The numpy Nelder-Mead rescue against scipy's Nelder-Mead with the same
+    start, simplex and 1e-10 stopping tolerances."""
+
+    OPTIONS = {"xatol": 1e-10, "fatol": 1e-10}
+
+    def test_rank_deficient_start(self):
+        target = np.array([1.0, 2.0, 3.0])
+
+        def residuals(p):
+            return (p["a"] + p["b"]) * np.ones(3) - target
+
+        def cost(u):
+            r = residuals({"a": u[0], "b": u[1]})
+            return float(r @ r)
+
+        res = least_squares(residuals, {"a": 0.0, "b": 0.0})
+        oracle = minimize(cost, np.zeros(2), method="Nelder-Mead", options=self.OPTIONS)
+        assert res.message.startswith("nelder-mead fallback (singular starting Jacobian)")
+        assert res.converged
+        a, b = res.parameters["a"], res.parameters["b"]
+        assert a + b == pytest.approx(oracle.x.sum(), abs=1e-9)
+        np.testing.assert_allclose([a, b], oracle.x, rtol=0, atol=1e-9)
+
+    def test_rosenbrock(self):
+        def rosenbrock(u):
+            return float((1.0 - u[0]) ** 2 + 100.0 * (u[1] - u[0] ** 2) ** 2)
+
+        start = np.array([-1.2, 1.0])
+        u, iterations = fitter._nelder_mead(rosenbrock, start)
+        oracle = minimize(rosenbrock, start, method="Nelder-Mead", options=self.OPTIONS)
+        assert iterations >= oracle.nit
+        assert rosenbrock(u) <= 1e-12
+        np.testing.assert_allclose(u, [1.0, 1.0], rtol=0, atol=1e-5)
+        np.testing.assert_allclose(u, oracle.x, rtol=0, atol=1e-5)
