@@ -38,18 +38,6 @@ def _timestamp(args) -> str | None:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _input_record(*paths) -> list[dict]:
-    return [
-        {"path": str(p), "sha256": pipeline_io.sha256_of(p)} for p in paths
-    ]
-
-
 def _as_json(result) -> dict:
     """A FitResult or ScalingFit as a JSON object, covariance as nested lists."""
     return {**asdict(result), "covariance": np.asarray(result.covariance).tolist()}
@@ -129,9 +117,9 @@ def cmd_fit_susceptibility(args) -> int:
         "j_from_t_max_data_K": j_from_data,
         "j_from_t_max_note": J_FROM_TMAX_NOTE,
         "impurity_curie": args.impurity_curie,
-        "inputs": _input_record(args.chi_csv),
+        "inputs": [pipeline_io.file_record(args.chi_csv, args.chi_csv)],
     }
-    _write_json(outdir / "fit_report.json", report)
+    pipeline_io.write_json(outdir / "fit_report.json", report)
 
     fig = Figure(title="susceptibility fit", xlabel="T (K)", ylabel="chi (emu/mol)", xlog=True)
     fig.points(curve.temperatures, curve.chi, color="#000000", label="data")
@@ -154,17 +142,16 @@ def cmd_witness(args) -> int:
     params = ChainParameters(j_over_kb=args.j_kelvin, g_factor=args.g)
     series = suscept.witness_mwse(curve, params)
 
-    with open(outdir / "witness.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("T_K,MW_SE\n")
-        for t, v in zip(series.temperatures, series.mw_se):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
-    _write_json(
+    pipeline_io.write_csv_table(
+        outdir / "witness.csv", ["T_K", "MW_SE"], series.temperatures, series.mw_se
+    )
+    pipeline_io.write_json(
         outdir / "witness_report.json",
         {
             "t_se_K": series.t_se,
             "g_factor": args.g,
             "spin": params.spin,
-            "inputs": _input_record(args.chi_csv),
+            "inputs": [pipeline_io.file_record(args.chi_csv, args.chi_csv)],
         },
     )
 
@@ -185,16 +172,6 @@ def _model_params(args, policy: str) -> StarykhParams:
         j_over_kb=args.j_kelvin,
         negative_log_policy=policy,
     )
-
-
-def _write_qfi_points(path, points) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("T_K,F_Q,err\n")
-        for p in points:
-            fh.write(
-                f"{float(p.temperature)!r},{float(p.f_q)!r},"
-                f"{float(p.quadrature_error_estimate)!r}\n"
-            )
 
 
 def _evaluate_qfi(sources, params: StarykhParams, omega_max: float):
@@ -257,7 +234,7 @@ def _qfi_data_half(args, omega_max: float, report: dict):
         mode="data",
         starykh_fit=_as_json(fit_result),
         elastic_subtraction=elastic_records,
-        inputs=_input_record(*args.data) + spectra,
+        inputs=[pipeline_io.file_record(p, p) for p in args.data] + spectra,
         negative_log_policy=policy,
     )
     return points, curves, {cut.temperature: cut for cut in cuts}
@@ -274,10 +251,15 @@ def cmd_qfi(args) -> int:
     report: dict = {"omega_max_meV": omega_max, "z": args.z}
     if args.data:
         points, model_curves, data_cuts = _qfi_data_half(args, omega_max, report)
-        _write_json(outdir / "fit_report.json", report["starykh_fit"])
+        pipeline_io.write_json(outdir / "fit_report.json", report["starykh_fit"])
     else:
         points, model_curves, data_cuts = _qfi_model_half(args, temps, omega_max, report)
-    _write_qfi_points(outdir / "qfi_points.csv", points)
+    temps = np.array([p.temperature for p in points])
+    values = np.array([p.f_q for p in points])
+    errors = [p.quadrature_error_estimate for p in points]
+    pipeline_io.write_csv_table(
+        outdir / "qfi_points.csv", ["T_K", "F_Q", "err"], temps, values, errors
+    )
 
     scaling = None
     if len(points) >= 3:
@@ -298,7 +280,7 @@ def cmd_qfi(args) -> int:
         }
         for p in points
     ]
-    _write_json(outdir / "qfi_report.json", report)
+    pipeline_io.write_json(outdir / "qfi_report.json", report)
 
     # chi'' panels: model curve, tanh-weighted area, data points when present
     fig = Figure(title="dynamic susceptibility", xlabel="E (meV)", ylabel="chi'' (arb.)")
@@ -317,8 +299,6 @@ def cmd_qfi(args) -> int:
     fig = Figure(
         title="QFI scaling", xlabel="T (K)", ylabel="F_Q (arb.)", xlog=True, ylog=True
     )
-    temps = np.array([p.temperature for p in points])
-    values = np.array([p.f_q for p in points])
     fig.points(temps, values, color="#000000", label="F_Q(T)")
     if scaling is not None:
         t_line = np.geomspace(temps.min(), temps.max(), 100)
@@ -363,7 +343,7 @@ def cmd_spinon(args) -> int:
     zone_center_q = math.pi / lattice_c
     e_upper_max = float(spinon.two_spinon_bounds(zone_center_q, j_mev, lattice_c)[1])
 
-    _write_json(
+    pipeline_io.write_json(
         outdir / "spinon_report.json",
         {
             "j_over_kb_K": args.j_kelvin,
@@ -371,7 +351,7 @@ def cmd_spinon(args) -> int:
             "lattice_c_A": lattice_c,
             "zone_center_q_invA": zone_center_q,
             "upper_bound_at_zone_center_meV": e_upper_max,
-            "inputs": _input_record(args.data) + [spectrum],
+            "inputs": [pipeline_io.file_record(args.data, args.data), spectrum],
         },
     )
 

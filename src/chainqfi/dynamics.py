@@ -35,6 +35,7 @@ __all__ = [
     "StarykhParams",
     "scaling_dimension",
     "sqw_starykh",
+    "sqw_on_axis",
     "chi_imag_from_sqw",
     "detailed_balance",
     "chi_imag_starykh",
@@ -133,6 +134,20 @@ def sqw_starykh(omega, t: float, params: StarykhParams):
     return float(out) if omega_arr.ndim == 0 else out
 
 
+def sqw_on_axis(e: np.ndarray, t: float, params: StarykhParams) -> np.ndarray:
+    """S(E) on an energy axis, with its finite limit at E = 0."""
+    out = np.empty(e.shape)
+    nonzero = e != 0.0
+    out[nonzero] = sqw_starykh(e[nonzero], t, params)
+    if not nonzero.all():
+        # limit of chi''/(1 - exp(-E/kT)) at E = 0: kT * d(chi'')/dE, by a
+        # central difference; chi'' is odd, so (chi(h) - chi(-h)) / 2h = chi(h) / h
+        h = 1e-6
+        slope = chi_imag_starykh(h, t, params) / h
+        out[~nonzero] = DEFAULT_UNITS.boltzmann_mev_per_kelvin * t * slope
+    return out
+
+
 def detailed_balance(omega, t: float) -> np.ndarray:
     """The fluctuation-dissipation factor 1 - exp(-omega/k_B T) = chi''/S."""
     kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
@@ -169,27 +184,16 @@ def t0_feasible_interval(
                 f"T = {temps[-1]:g} K (need T0 > {lo:g} K)"
             )
         return (lo, None)
-    # merge the per-temperature exclusion bands
-    bands: list[list[float]] = []
-    for t in temps:
-        band = [t * math.exp(-_MIN_LOG), t * math.exp(_MIN_LOG)]
-        if bands and band[0] <= bands[-1][1]:
-            bands[-1][1] = max(bands[-1][1], band[1])
-        else:
-            bands.append(band)
-    for lo, hi in bands:
+    bands = [(t * math.exp(-_MIN_LOG), t * math.exp(_MIN_LOG)) for t in temps]
+    for t, (lo, hi) in zip(temps, bands):
         if lo <= t0_initial <= hi:
             raise CutoffDomainError(
-                f"initial T0 = {t0_initial:g} K falls in the excluded band "
-                f"[{lo:g}, {hi:g}] K under the absolute-value policy"
+                f"initial T0 = {t0_initial:g} K falls in the band [{lo:g}, {hi:g}] K "
+                f"that T = {t:g} K excludes under the absolute-value policy"
             )
-    lower = 0.0
-    upper: float | None = None
-    for lo, hi in bands:
-        if hi < t0_initial:
-            lower = max(lower, hi)
-        elif lo > t0_initial:
-            upper = lo if upper is None else min(upper, lo)
+    # no band holds T0, so the interval runs between the nearest bands around it
+    lower = max((hi for _, hi in bands if hi < t0_initial), default=0.0)
+    upper = min((lo for lo, _ in bands if lo > t0_initial), default=None)
     return (lower, upper)
 
 
@@ -213,7 +217,7 @@ def fit_starykh(cuts: Sequence[EnergyCut], initial: StarykhParams) -> fitter.Fit
     )
     bounds = {"a_starykh": (0.0, None), "t0_kelvin": t0_bounds}
 
-    weight_blocks = [1.0 / np.where(c.errors > 0, c.errors, 1.0) for c in cuts]
+    weight_blocks = [fitter.sigma_weights(c.errors) for c in cuts]
 
     def residuals(p):
         model_params = StarykhParams(

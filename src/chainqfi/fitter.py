@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FitDiverged, SingularJacobian
 
-__all__ = ["FitResult", "least_squares"]
+__all__ = ["FitResult", "least_squares", "sigma_weights"]
 
 _RELATIVE_STEP = 1e-7
 _ABSOLUTE_STEP = 1e-10
@@ -60,6 +60,11 @@ class FitResult:
     converged: bool
     frozen_mask: dict[str, bool]
     message: str = ""
+
+
+def sigma_weights(sigma) -> np.ndarray:
+    """Residual weights 1/sigma; a point with sigma = 0 enters with unit weight."""
+    return 1.0 / np.where(sigma > 0, sigma, 1.0)
 
 
 class _Transform:
@@ -146,7 +151,13 @@ def least_squares(
         return params
 
     def evaluate(u: np.ndarray) -> np.ndarray:
-        r = np.asarray(residual_fn(unpack(u)), dtype=float)
+        try:
+            params = unpack(u)
+        except OverflowError:
+            # exp overflows in the bound transform: a point with no parameter
+            # values, rejected as a trial whose residual is not finite
+            return np.array([math.inf])
+        r = np.asarray(residual_fn(params), dtype=float)
         if r.ndim != 1:
             r = r.ravel()
         return r

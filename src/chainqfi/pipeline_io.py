@@ -23,15 +23,14 @@ import itertools
 import json
 import math
 import numbers
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import dynamics, spinon
-from .core import DEFAULT_UNITS, ChainParameters, EnergyCut, SpectrumGrid
+from . import dynamics, fitter, spinon
+from .core import ChainParameters, EnergyCut, SpectrumGrid
 from .dynamics import StarykhParams
 from .errors import (
     DuplicateAbscissa,
@@ -49,6 +48,9 @@ __all__ = [
     "load_dataset",
     "reduce_to_chi_imag",
     "sha256_of",
+    "file_record",
+    "write_json",
+    "write_csv_table",
     "read_susceptibility_csv",
     "write_susceptibility_csv",
     "read_spectrum_csv",
@@ -70,6 +72,28 @@ def sha256_of(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def file_record(path, name) -> dict:
+    """The provenance record ``{path, sha256}`` of the file at ``path``,
+    listed under ``str(name)``."""
+    return {"path": str(name), "sha256": sha256_of(path)}
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON with sorted keys, 2-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv_table(path, header: Sequence[str], *columns) -> None:
+    """A header line, then one row per index of the equal-length
+    ``columns``, each value as the shortest ``repr`` of its float."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _is_number(value) -> bool:
@@ -145,9 +169,7 @@ class DatasetManifest:
         self.q_window = tuple(float(v) for v in self.q_window)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -183,13 +205,12 @@ def load_dataset(manifest_path) -> Dataset:
     manifest = DatasetManifest.load(manifest_path)
     entry = manifest.inputs[0]
     spectrum_path = Path(manifest_path).parent / entry["path"]
-    digest = sha256_of(spectrum_path)
-    if digest != entry["sha256"]:
+    record = file_record(spectrum_path, spectrum_path)
+    if record["sha256"] != entry["sha256"]:
         raise ParseError(
             f"{spectrum_path} does not match the sha256 recorded in {manifest_path}"
         )
-    grid = read_spectrum_csv(spectrum_path, manifest)
-    return Dataset(manifest, grid, {"path": str(spectrum_path), "sha256": digest})
+    return Dataset(manifest, read_spectrum_csv(spectrum_path, manifest), record)
 
 
 def _read_text(path) -> str:
@@ -289,10 +310,7 @@ def read_susceptibility_csv(path) -> SusceptibilityCurve:
 
 
 def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CHI_HEADER) + "\n")
-        for t, chi, sigma in zip(curve.temperatures, curve.chi, curve.sigma):
-            fh.write(f"{float(t)!r},{float(chi)!r},{float(sigma)!r}\n")
+    write_csv_table(path, CHI_HEADER, curve.temperatures, curve.chi, curve.sigma)
 
 
 def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
@@ -347,6 +365,13 @@ def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
         lines += [f"{q},{e_repr},{v!r},{err!r}\n" for q, v, err in zip(q_reprs, row, err_row)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(lines))
+
+
+def _resolution_line(e: np.ndarray, fwhm: float) -> np.ndarray:
+    """The resolution Gaussian of full width ``fwhm`` at half maximum on the
+    energy axis ``e``: centred at E = 0, height 1 there."""
+    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    return np.exp(-0.5 * (e / sigma) ** 2)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -404,32 +429,21 @@ def subtract_elastic_line(
     anchor[np.argsort(e)[-n_anchor:]] = True
     sel = window | anchor
 
-    sigma_g = resolution_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    gauss = np.exp(-0.5 * (e / sigma_g) ** 2)
-    weights = 1.0 / np.where(cut.errors[sel] > 0, cut.errors[sel], 1.0)
+    gauss = _resolution_line(e, resolution_fwhm)
+    weights = fitter.sigma_weights(cut.errors[sel])
     design = np.column_stack((gauss[sel], np.ones(np.count_nonzero(sel))))
     coeffs, *_ = np.linalg.lstsq(design * weights[:, None], cut.values[sel] * weights, rcond=None)
     amplitude, constant = float(coeffs[0]), float(coeffs[1])
     if record is not None:
         record["elastic_amplitude"] = amplitude
         record["elastic_constant"] = constant
-    return EnergyCut(
-        e_axis=e,
-        values=cut.values - (amplitude * gauss + constant),
-        errors=cut.errors,
-        temperature=cut.temperature,
-    )
+    return replace(cut, values=cut.values - (amplitude * gauss + constant))
 
 
 def apply_fluctuation_dissipation(cut: EnergyCut) -> EnergyCut:
     """Convert an S(E) cut to chi''(E) bin by bin; errors scale with the factor."""
     factor = dynamics.detailed_balance(cut.e_axis, cut.temperature)
-    return EnergyCut(
-        e_axis=cut.e_axis,
-        values=factor * cut.values,
-        errors=np.abs(factor) * cut.errors,
-        temperature=cut.temperature,
-    )
+    return replace(cut, values=factor * cut.values, errors=np.abs(factor) * cut.errors)
 
 
 def reduce_to_chi_imag(
@@ -441,11 +455,8 @@ def reduce_to_chi_imag(
     cut = integrate_q_window(grid, *manifest.q_window)
     cut = subtract_elastic_line(cut, manifest.resolution_fwhm_meV, record=record)
     cut = apply_fluctuation_dissipation(cut)
-    return EnergyCut(
-        e_axis=cut.e_axis,
-        values=cut.values / manifest.calibration,
-        errors=cut.errors / manifest.calibration,
-        temperature=cut.temperature,
+    return replace(
+        cut, values=cut.values / manifest.calibration, errors=cut.errors / manifest.calibration
     )
 
 
@@ -483,20 +494,6 @@ class SynthConfig:
     q_window: tuple[float, float] = (0.4, 1.1)
     elastic_amplitude: float = 0.0
     flat_background: float = 0.0
-
-
-def _magnetic_sqw(e: np.ndarray, t: float, params: StarykhParams) -> np.ndarray:
-    """S(E) on an energy axis, with its finite limit at E = 0."""
-    out = np.empty(e.shape)
-    nonzero = e != 0.0
-    out[nonzero] = dynamics.sqw_starykh(e[nonzero], t, params)
-    if not nonzero.all():
-        # limit of chi''/(1 - exp(-E/kT)) at E = 0: kT * d(chi'')/dE, by a
-        # central difference; chi'' is odd, so (chi(h) - chi(-h)) / 2h = chi(h) / h
-        h = 1e-6
-        slope = dynamics.chi_imag_starykh(h, t, params) / h
-        out[~nonzero] = DEFAULT_UNITS.boltzmann_mev_per_kelvin * t * slope
-    return out
 
 
 def generate_synthetic_dataset(
@@ -555,14 +552,14 @@ def generate_synthetic_dataset(
     )
     window_weight = float(_trapezoid_weights(np.asarray(cfg.q_axis)[sel]) @ env_pwd[sel])
 
-    sigma_g = _RESOLUTION_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    e_axis = np.asarray(cfg.e_axis, dtype=float)
+    elastic_line = cfg.elastic_amplitude * _resolution_line(e_axis, _RESOLUTION_FWHM)
     written = {"chi_csv": str(chi_path), "spectra": []}
+    files = [file_record(chi_path, chi_path.name)]
     for t in temperatures:
-        sqw_e = _magnetic_sqw(np.asarray(cfg.e_axis, dtype=float), t, starykh)
+        sqw_e = dynamics.sqw_on_axis(e_axis, t, starykh)
         counts = _COUNTS_SCALE * np.outer(sqw_e, env_pwd)
-        counts += cfg.elastic_amplitude * np.exp(
-            -0.5 * (np.asarray(cfg.e_axis) / sigma_g) ** 2
-        )[:, None]
+        counts += elastic_line[:, None]
         counts += cfg.flat_background
         errors = np.sqrt(np.maximum(counts, 1.0))
         if cfg.noise_level > 0:
@@ -577,6 +574,7 @@ def generate_synthetic_dataset(
         tag = f"{t:g}".replace(".", "p")
         sqe_path = outdir / f"sqe_T{tag}.csv"
         write_spectrum_csv(sqe_path, grid)
+        files.append(file_record(sqe_path, sqe_path.name))
         manifest = DatasetManifest(
             sample=cfg.sample,
             temperature_K=float(t),
@@ -590,7 +588,7 @@ def generate_synthetic_dataset(
                 "elastic_amplitude": cfg.elastic_amplitude,
                 "flat_background": cfg.flat_background,
             },
-            inputs=[{"path": sqe_path.name, "sha256": sha256_of(sqe_path)}],
+            inputs=[files[-1]],
         )
         manifest_path = outdir / f"manifest_T{tag}.json"
         manifest.save(manifest_path)
@@ -612,15 +610,9 @@ def generate_synthetic_dataset(
         "elastic_amplitude": cfg.elastic_amplitude,
         "flat_background": cfg.flat_background,
         "resolution_fwhm": _RESOLUTION_FWHM,
-        "files": [
-            {"path": os.path.basename(p), "sha256": sha256_of(p)}
-            for p in [written["chi_csv"]]
-            + [s["sqe_csv"] for s in written["spectra"]]
-        ],
+        "files": files,
     }
     gen_path = outdir / "generation.json"
-    with open(gen_path, "w", encoding="utf-8") as fh:
-        json.dump(generation, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(gen_path, generation)
     written["generation"] = str(gen_path)
     return written

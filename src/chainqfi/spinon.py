@@ -17,7 +17,7 @@ weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -111,13 +111,7 @@ def powder_to_1d(grid: SpectrumGrid) -> SpectrumGrid:
         coeff = q[i] * w
         coeff[i - window.start] += 1.0
         out_err[:, i] = np.sqrt((grid.errors[:, window] ** 2) @ (coeff**2))
-    return SpectrumGrid(
-        q_axis=q,
-        e_axis=grid.e_axis,
-        intensity=out,
-        errors=out_err,
-        temperature=grid.temperature,
-    )
+    return replace(grid, intensity=out, errors=out_err)
 
 
 def forward_powder_average(

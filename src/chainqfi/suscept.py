@@ -143,7 +143,7 @@ def fit_susceptibility(
     """
     if len(curve) < 4:
         raise ValueError("need at least 4 points to fit the susceptibility")
-    weights = 1.0 / np.where(curve.sigma > 0, curve.sigma, 1.0)
+    weights = fitter.sigma_weights(curve.sigma)
     t = curve.temperatures
 
     def residuals(p):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,17 +15,6 @@ __all__ = ["Figure"]
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _screen(v, log: bool, lo: float, hi: float, a: int, b: int) -> list[str]:
-    """``_fmt`` of ``a + (t - lo) / (hi - lo) * (b - a)`` for every value,
-    t = log10(v) on a log axis: the operations of ``px``/``py`` in the same
-    order, on a whole array. ``math.log10`` stays, since ``np.log10`` differs
-    from it in the last bit for some inputs."""
-    v = np.asarray(v, dtype=float)
-    if log:
-        v = np.fromiter(map(math.log10, v.tolist()), float, v.size)
-    return list(map("{:.6g}".format, (a + (v - lo) / (hi - lo) * (b - a)).tolist()))
 
 
 def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -46,6 +36,58 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks
+
+
+class _Axis(NamedTuple):
+    """The value -> pixel map of one axis: ``lo``..``hi`` (log10 of the value
+    on a log axis) onto pixels ``a``..``b``."""
+
+    lo: float
+    hi: float
+    a: int
+    b: int
+    log: bool
+
+    @classmethod
+    def over(cls, data: list, log: bool, pad: float, a: int, b: int) -> "_Axis":
+        """The axis over ``data``, widened by ``pad`` of its range on each
+        side; with no data the range is [0, 1], or [1, 10] on a log axis."""
+        v = np.array(data or ([1.0, 10.0] if log else [0.0, 1.0]))
+        lo, hi = float(v.min()), float(v.max())
+        if log:
+            lo, hi = math.log10(lo), math.log10(hi)
+        if hi - lo < 1e-30:
+            # 0.5, or more where 0.5 is below the float spacing at lo
+            half = max(0.5, 1e-12 * abs(lo))
+            lo, hi = lo - half, hi + half
+        pad *= hi - lo
+        return cls(lo - pad, hi + pad, a, b, log)
+
+    def at(self, t):
+        """The pixel of ``t`` in axis units (log10 of the value on a log axis)."""
+        return self.a + (t - self.lo) / (self.hi - self.lo) * (self.b - self.a)
+
+    def __call__(self, v):
+        """The pixel of a value, or of each value of an array. ``math.log10``
+        stays, since ``np.log10`` differs from it in the last bit for some
+        inputs."""
+        v = np.asarray(v, dtype=float)
+        if self.log:
+            v = np.fromiter(map(math.log10, v.ravel().tolist()), float, v.size).reshape(v.shape)
+        return self.at(v)
+
+    def ticks(self) -> list[tuple[float, str]]:
+        """(axis units, label) of each tick inside the range."""
+        lo, hi = self.lo, self.hi
+        if not self.log:
+            return [(v, _fmt(v)) for v in nice_ticks(lo, hi)]
+        ticks = []
+        for p in range(math.floor(lo), math.ceil(hi) + 1):
+            if lo <= p <= hi:
+                ticks.append((p, f"1e{p:d}" if p not in (0, 1) else ("1" if p == 0 else "10")))
+        if len(ticks) < 2:  # narrow log range: fall back to linear ticks in log space
+            ticks = [(v, _fmt(10**v)) for v in nice_ticks(lo, hi, 4)]
+        return ticks
 
 
 _VIRIDIS = np.array((
@@ -131,55 +173,14 @@ class Figure:
         last = centers[-1] + (centers[-1] - mids[-1])
         return np.concatenate(([first], mids, [last]))
 
-    def _scales(self):
-        # with nothing drawable the range is [0, 1], or [1, 10] on a log axis
-        xs = np.array(self._xdata or ([1.0, 10.0] if self.xlog else [0.0, 1.0]))
-        ys = np.array(self._ydata or ([1.0, 10.0] if self.ylog else [0.0, 1.0]))
-        xlo, xhi = float(xs.min()), float(xs.max())
-        ylo, yhi = float(ys.min()), float(ys.max())
-        if self.xlog:
-            xlo, xhi = math.log10(xlo), math.log10(xhi)
-        if self.ylog:
-            ylo, yhi = math.log10(ylo), math.log10(yhi)
-        for lo, hi in ((xlo, xhi),):
-            if hi - lo < 1e-30:
-                xlo, xhi = lo - 0.5, hi + 0.5
-        if yhi - ylo < 1e-30:
-            ylo, yhi = ylo - 0.5, yhi + 0.5
-        xpad = 0.04 * (xhi - xlo)
-        ypad = 0.06 * (yhi - ylo)
-        xlo, xhi = xlo - xpad, xhi + xpad
-        ylo, yhi = ylo - ypad, yhi + ypad
-        x0, x1 = self.margin_left, self.width - self.margin_right
-        y0, y1 = self.height - self.margin_bottom, self.margin_top
-
-        def px(v):
-            v = math.log10(v) if self.xlog else v
-            return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
-
-        def py(v):
-            v = math.log10(v) if self.ylog else v
-            return y0 + (v - ylo) / (yhi - ylo) * (y1 - y0)
-
-        def pxy(x, y):
-            """The formatted px and py of whole x and y arrays."""
-            return (
-                _screen(x, self.xlog, xlo, xhi, x0, x1),
-                _screen(y, self.ylog, ylo, yhi, y0, y1),
-            )
-
-        return px, py, pxy, (xlo, xhi), (ylo, yhi)
-
-    def _tick_values(self, lo, hi, log_scale):
-        if not log_scale:
-            return [(v, _fmt(v)) for v in nice_ticks(lo, hi)]
-        ticks = []
-        for p in range(math.floor(lo), math.ceil(hi) + 1):
-            if lo <= p <= hi:
-                ticks.append((p, f"1e{p:d}" if p not in (0, 1) else ("1" if p == 0 else "10")))
-        if len(ticks) < 2:  # narrow log range: fall back to linear ticks in log space
-            ticks = [(v, _fmt(10**v)) for v in nice_ticks(lo, hi, 4)]
-        return ticks
+    def _scales(self) -> tuple[_Axis, _Axis]:
+        """The x axis (4 % padding) and the y axis (6 %) over the drawn data."""
+        return (
+            _Axis.over(self._xdata, self.xlog, 0.04, self.margin_left,
+                       self.width - self.margin_right),
+            _Axis.over(self._ydata, self.ylog, 0.06, self.height - self.margin_bottom,
+                       self.margin_top),
+        )
 
     def _cell_rects(self, px, py, xc, yc, vals) -> list[str]:
         """One <rect> per finite cell, rows outer, coloured over the finite
@@ -189,8 +190,8 @@ class Figure:
         vmin = float(v.min()) if v.size else 0.0
         vmax = float(v.max()) if v.size else 1.0
         span = (vmax - vmin) or 1.0
-        xe = [px(v) for v in self._edges(xc).tolist()]
-        ye = [py(v) for v in self._edges(yc).tolist()]
+        xe = px(self._edges(xc)).tolist()
+        ye = py(self._edges(yc)).tolist()
         xs = [(_fmt(min(a, b)), _fmt(abs(b - a))) for a, b in zip(xe, xe[1:])]
         ys = [(_fmt(min(a, b)), _fmt(abs(b - a))) for a, b in zip(ye, ye[1:])]
         # viridis: linear between the two stops around v, truncated to 0..255
@@ -235,9 +236,13 @@ class Figure:
         ]
 
     def render(self, path, timestamp: str | None = None) -> None:
-        px, py, pxy, (xlo, xhi), (ylo, yhi) = self._scales()
-        x0, x1 = self.margin_left, self.width - self.margin_right
-        y0, y1 = self.height - self.margin_bottom, self.margin_top
+        px, py = self._scales()
+        (x0, x1), (y0, y1) = (px.a, px.b), (py.a, py.b)
+
+        def pxy(x, y):
+            """The formatted pixels of whole x and y arrays."""
+            return [*map(_fmt, px(x).tolist())], [*map(_fmt, py(y).tolist())]
+
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
             f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">'
@@ -286,8 +291,8 @@ class Figure:
             f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
             f'fill="none" stroke="black" stroke-width="1"/>'
         )
-        for v, text in self._tick_values(xlo, xhi, self.xlog):
-            sx = x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
+        for v, text in px.ticks():
+            sx = px.at(v)
             out.append(
                 f'<line x1="{_fmt(sx)}" y1="{y0}" x2="{_fmt(sx)}" y2="{y0 + 5}" stroke="black"/>'
             )
@@ -295,8 +300,8 @@ class Figure:
                 f'<text x="{_fmt(sx)}" y="{y0 + 18}" font-size="11" '
                 f'text-anchor="middle">{text}</text>'
             )
-        for v, text in self._tick_values(ylo, yhi, self.ylog):
-            sy = y0 + (v - ylo) / (yhi - ylo) * (y1 - y0)
+        for v, text in py.ticks():
+            sy = py.at(v)
             out.append(
                 f'<line x1="{x0 - 5}" y1="{_fmt(sy)}" x2="{x0}" y2="{_fmt(sy)}" stroke="black"/>'
             )

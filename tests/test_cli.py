@@ -93,6 +93,20 @@ class TestFitSusceptibilityCommand:
         assert report["fit"]["errors"]["g_factor"] == 0.0
         assert report["fit"]["frozen_mask"]["g_factor"] is True
 
+    @pytest.mark.parametrize("extra", [[], ["--impurity-curie"]], ids=["constant", "curie"])
+    def test_free_c1_on_the_readme_data(self, tmp_path, extra):
+        # the first undamped step in c1 = -exp(u) overflows exp: a failed
+        # trial, not a traceback
+        data = tmp_path / "data"
+        assert main(["synth", "--temps", "0.2,0.5", "--seed", "7", "--noise", "1.0",
+                     "--elastic-amp", "100", "--out", str(data), "--deterministic"]) == 0
+        out = tmp_path / "out"
+        argv = ["fit-susceptibility", str(data / "chi.csv"), "--freeze", "g=2.1", "--fit-c1"]
+        assert main([*argv, *extra, "--out", str(out), "--deterministic"]) == 0
+        fit = json.loads((out / "fit_report.json").read_text())["fit"]
+        assert fit["converged"] and fit["parameters"]["c1"] <= 0.0
+        assert fit["parameters"]["j_over_kb"] == pytest.approx(3.1, rel=1e-6)
+
 
 class TestWitnessCommand:
     def test_chain_model_crossing(self, tmp_path):

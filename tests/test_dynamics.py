@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import loggamma as scipy_loggamma
 
 from chainqfi.core import DEFAULT_UNITS, EnergyCut, kelvin_to_mev
@@ -235,6 +237,62 @@ class TestFeasibleInterval:
     def test_absolute_value_infeasible_initial(self):
         with pytest.raises(CutoffDomainError):
             t0_feasible_interval([1.2], "absolute_value", 1.2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        temps=st.lists(st.floats(-3.0, 2.0).map(lambda x: 10.0**x), min_size=1, max_size=8),
+        policy=st.sampled_from(["strict", "absolute_value"]),
+        t0=st.one_of(
+            st.floats(-3.5, 2.5).map(lambda x: 10.0**x),
+            # a band edge itself: T0 = T exp(+-1/2) of one of the temperatures
+            st.tuples(st.integers(0, 7), st.sampled_from([-0.5, 0.5])),
+        ),
+    )
+    def test_matches_the_band_merging_reference(self, temps, policy, t0):
+        if isinstance(t0, tuple):
+            t0 = temps[t0[0] % len(temps)] * math.exp(t0[1])
+        assert outcome(t0_feasible_interval, temps, policy, t0) == outcome(
+            merged_band_interval, temps, policy, t0
+        )
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the class of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def merged_band_interval(temperatures, policy, t0_initial):
+    """t0_feasible_interval as it was first written: the absolute-value
+    policy merges overlapping exclusion bands before it looks for T0."""
+    temps = sorted(float(t) for t in temperatures)
+    if not temps or temps[0] <= 0:
+        raise NonPositiveTemperature("temperatures must be positive")
+    if policy == "strict":
+        lo = temps[-1] * math.exp(0.5)
+        if t0_initial <= lo:
+            raise CutoffDomainError("strict")
+        return (lo, None)
+    bands = []
+    for t in temps:
+        band = [t * math.exp(-0.5), t * math.exp(0.5)]
+        if bands and band[0] <= bands[-1][1]:
+            bands[-1][1] = max(bands[-1][1], band[1])
+        else:
+            bands.append(band)
+    for lo, hi in bands:
+        if lo <= t0_initial <= hi:
+            raise CutoffDomainError("band")
+    lower = 0.0
+    upper = None
+    for lo, hi in bands:
+        if hi < t0_initial:
+            lower = max(lower, hi)
+        elif lo > t0_initial:
+            upper = lo if upper is None else min(upper, lo)
+    return (lower, upper)
 
 
 class TestChiImagArrayKernel:

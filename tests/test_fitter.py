@@ -139,6 +139,16 @@ class TestBoundsAndFallback:
         assert 0.0 < res.parameters["v"] <= 1.0
         assert res.parameters["v"] == pytest.approx(1.0, abs=1e-4)
 
+    def test_step_that_overflows_the_bound_transform_is_rejected(self):
+        # c <= 0 is fitted as c = -exp(u); from c = -1e-12 the undamped step
+        # is u += ~1e9, whose exp overflows: damping must grow instead
+        def residuals(p):
+            return np.array([p["c"] + 1e-3, 2.0 * (p["c"] + 1e-3)])
+
+        res = least_squares(residuals, {"c": -1e-12}, bounds={"c": (None, 0.0)})
+        assert res.converged
+        assert res.parameters["c"] == pytest.approx(-1e-3, rel=1e-10)
+
     def test_nelder_mead_fallback_on_singular_start(self):
         # residuals depend only on a + b: Jacobian rank 1 at every point
         target = np.array([1.0, 2.0, 3.0])

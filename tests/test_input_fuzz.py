@@ -11,13 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainqfi.cli import main
 from chainqfi.core import ChainParameters
 from chainqfi.dynamics import StarykhParams
-from chainqfi.pipeline_io import SynthConfig, generate_synthetic_dataset, sha256_of
+from chainqfi.pipeline_io import (
+    DatasetManifest,
+    SynthConfig,
+    generate_synthetic_dataset,
+    sha256_of,
+)
+from chainqfi.suscept import chi_full
 
 MANIFEST_KEYS = (
     "sample", "temperature_K", "resolution_fwhm_meV", "q_window",
@@ -139,3 +145,106 @@ def test_spectrum_mutations(dataset, row, column, mutation, command):
     code, err = run_in_copy(dataset, command, edit_rows=edit)
     assert_one_json_error(code, err)
     assert json.loads(err)["error"] == "ParseError"
+
+
+def run_main(argv):
+    """(exit code, stderr) of one in-process command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    """Success, or a documented failure with exactly one JSON error line."""
+    assert code in (0, 2, 3, 4), err
+    if code:
+        assert_one_json_error(code, err)
+
+
+CHAIN = ChainParameters(j_over_kb=3.1, g_factor=2.1)
+# edits of one row (T, chi, sigma) of a clean chi(T) curve
+ROW_EDITS = {
+    "chi zero": lambda t, chi, sigma: (t, 0.0, sigma),
+    "chi negative": lambda t, chi, sigma: (t, -chi, sigma),
+    "chi 1e300": lambda t, chi, sigma: (t, 1e300, sigma),
+    "chi 1e-300": lambda t, chi, sigma: (t, 1e-300, sigma),
+    "T 1e300": lambda t, chi, sigma: (1e300, chi, sigma),
+    "T 1e-300": lambda t, chi, sigma: (1e-300, chi, sigma),
+    "sigma zero": lambda t, chi, sigma: (t, chi, 0.0),
+    "sigma 1e300": lambda t, chi, sigma: (t, chi, 1e300),
+}
+FLAG_SETS = {
+    "none": [],
+    "fit c1": ["--fit-c1"],
+    "impurity curie": ["--impurity-curie"],
+    "frozen g, fit c1": ["--freeze", "g=2.1", "--fit-c1"],
+}
+
+
+@FUZZ
+@given(
+    n_rows=st.integers(min_value=1, max_value=12),
+    edits=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=11), st.sampled_from(list(ROW_EDITS))),
+        max_size=3,
+    ),
+    # relative errors of the clean curve; synth writes 0 without --chi-noise
+    relative_sigma=st.sampled_from([0.0, 0.01]),
+    command=st.sampled_from(["fit-susceptibility", "witness"]),
+    flags=st.sampled_from(list(FLAG_SETS)),
+)
+# the undamped first step in c1 overflows the bound transform
+@example(n_rows=12, edits=[], relative_sigma=0.0, command="fit-susceptibility",
+         flags="frozen g, fit c1")
+def test_chi_csv_mutations(n_rows, edits, relative_sigma, command, flags):
+    t = np.geomspace(0.5, 300.0, n_rows)
+    chi = chi_full(t, CHAIN)
+    rows = list(zip(t, chi, relative_sigma * chi))
+    for k, edit in edits:
+        rows[k % n_rows] = ROW_EDITS[edit](*rows[k % n_rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chi.csv"
+        path.write_text("T_K,chi_emu_per_mol,sigma\n" + "".join(
+            f"{float(a)!r},{float(b)!r},{float(c)!r}\n" for a, b, c in rows
+        ))
+        extra = FLAG_SETS[flags] if command == "fit-susceptibility" else ["--g", "2.1"]
+        code, err = run_main([command, str(path), *extra, "--out", str(Path(tmp) / "out")])
+    assert_clean_exit(code, err)
+
+
+# the energy axis of each kind with n values; "zero only" repeats E = 0
+ENERGIES = {
+    "all negative": lambda n: np.linspace(-0.3, -0.1, n),
+    "all positive": lambda n: np.linspace(0.1, 0.9, n),
+    "zero only": lambda n: np.zeros(n),
+    "spanning zero": lambda n: np.linspace(-0.2, 0.6, n) if n > 1 else np.zeros(1),
+}
+
+
+@pytest.mark.parametrize("kind", list(ENERGIES))
+@pytest.mark.parametrize("command", ["qfi", "spinon"])
+def test_small_grid_shapes(command, kind):
+    """Every grid of 1-3 momenta by 1-3 energies; the exhaustive set of
+    shapes, not a sample."""
+    for nq in (1, 2, 3):
+        for ne in (1, 2, 3):
+            q, e = np.linspace(0.5, 1.0, nq), ENERGIES[kind](ne)
+            with tempfile.TemporaryDirectory() as tmp:
+                sqe = Path(tmp) / "sqe.csv"
+                sqe.write_text("Q_invA,E_meV,intensity,error\n" + "".join(
+                    f"{qk!r},{ek!r},{1.0 + qk + ek!r},0.1\n"
+                    for ek in e.tolist() for qk in q.tolist()
+                ))
+                manifest = Path(tmp) / "manifest.json"
+                DatasetManifest(
+                    sample="grid", temperature_K=0.5, resolution_fwhm_meV=0.0175,
+                    q_window=(0.4, 1.1), lattice_c_A=5.32,
+                    inputs=[{"path": sqe.name, "sha256": sha256_of(sqe)}],
+                ).save(manifest)
+                code, err = run_main(
+                    [command, "--data", str(manifest), "--out", str(Path(tmp) / "out")]
+                )
+            assert code in (0, 2, 3, 4), (nq, ne, err)
+            if code:
+                assert_one_json_error(code, err)

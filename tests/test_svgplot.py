@@ -281,6 +281,14 @@ def test_log_axis_with_a_value_at_or_below_zero_raises(axes, tmp_path, monkeypat
     assert assert_same_marks(fig, tmp_path, monkeypatch) == "ValueError"
 
 
+@pytest.mark.parametrize("value", [1e300, -1e20, 5e15])
+def test_flat_series_far_from_zero_renders(value, tmp_path, monkeypatch):
+    # +-0.5 is below the float spacing at these values, so it cannot widen
+    # the flat y range on its own
+    rendered = assert_same_marks(drawn([1.0, 2.0], [value, value]), tmp_path, monkeypatch)
+    assert isinstance(rendered, bytes) and b"nan" not in rendered
+
+
 def test_nan_and_inf_past_the_tracker(tmp_path, monkeypatch):
     fig = drawn(WAVY_X, WAVY_Y, xlog=True)
     append_raw(fig, [0.5, np.nan, np.inf, 2.0], [1.0, 2.0, np.nan, -np.inf])
@@ -309,8 +317,8 @@ def test_marks_match_on_drawn_points(tmp_path_factory, pairs, axes):
     x = np.array([p[0] for p in pairs], dtype=float)
     y = np.array([p[1] for p in pairs], dtype=float)
     tmp_path = tmp_path_factory.mktemp("marks")
-    # no drawable point on a log axis leaves the default range [0, 1], whose
-    # log10 raises ValueError in both
+    # no drawable point on a log axis leaves the fallback range [1, 10], and
+    # such a figure renders in both
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_same_marks(drawn(x, y, **AXES[axes]), tmp_path, monkeypatch)
 
