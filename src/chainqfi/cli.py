@@ -2,9 +2,12 @@
 
 Subcommands: fit-susceptibility, witness, qfi, spinon, synth. Every
 command writes its numeric results to CSV/JSON next to the figures, so
-the SVGs are never the only record. Exit codes: 0 success, 2 input or
-configuration error, 3 numerical failure, 4 domain-policy error; errors
-are emitted as JSON on stderr.
+the SVGs are never the only record. Each analysis command reads,
+validates, fits and integrates first, then builds its report and figures,
+and only then creates --out and writes them, so a failing command leaves
+no output files. Exit codes: 0 success, 2 input or configuration error,
+3 numerical failure, 4 domain-policy error; errors are emitted as JSON on
+stderr.
 """
 from __future__ import annotations
 
@@ -43,16 +46,6 @@ def _as_json(result) -> dict:
     return {**asdict(result), "covariance": np.asarray(result.covariance).tolist()}
 
 
-def _parse_freeze(fragments) -> dict[str, float]:
-    frozen = {}
-    for frag in fragments or []:
-        if "=" not in frag:
-            raise ValueError(f"--freeze expects NAME=VALUE, got {frag!r}")
-        name, _, value = frag.partition("=")
-        frozen[name.strip()] = float(value)
-    return frozen
-
-
 def _parse_temps(text: str) -> list[float]:
     """The comma-separated --temps list; every entry a finite number > 0."""
     temps = []
@@ -75,27 +68,36 @@ def _policy_from_flag(flag: str) -> str:
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_fit_susceptibility(args) -> int:
+def _outdir(args) -> Path:
+    """The --out directory, created; called only once a command has its results."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    curve = pipeline_io.read_susceptibility_csv(args.chi_csv)
+    return outdir
 
-    freeze_values = _parse_freeze(args.freeze)
+
+def cmd_fit_susceptibility(args) -> int:
+    curve = pipeline_io.read_susceptibility_csv(args.chi_csv)
     name_map = {"J": "j_over_kb", "g": "g_factor", "C0": "c0", "C1": "c1"}
-    frozen = set()
     start = {"j_over_kb": args.j0, "g_factor": args.g0, "c0": args.c00, "c1": args.c10}
-    for key, value in freeze_values.items():
+    frozen = set() if args.fit_c1 else {"c1"}
+    for frag in args.freeze or []:
+        if "=" not in frag:
+            raise ValueError(f"--freeze expects NAME=VALUE, got {frag!r}")
+        key, _, value = frag.partition("=")
+        key, value = key.strip(), float(value)
         param = name_map.get(key, key)
         if param not in start:
             raise ValueError(f"unknown parameter {key!r} in --freeze")
         start[param] = value
         frozen.add(param)
-    if not args.fit_c1:
-        frozen.add("c1")
 
-    result = suscept.fit_susceptibility(
-        curve, ChainParameters(**start), frozen=frozen, impurity_curie=args.impurity_curie
-    )
+    initial = ChainParameters(**start)
+    try:
+        result = suscept.fit_susceptibility(
+            curve, initial, frozen=frozen, impurity_curie=args.impurity_curie
+        )
+    except (ChainQfiError, ValueError) as exc:
+        raise type(exc)(f"{args.chi_csv}: {exc}") from exc
     if not result.converged:
         raise FitDiverged("susceptibility fit did not converge: " + result.message)
 
@@ -119,8 +121,6 @@ def cmd_fit_susceptibility(args) -> int:
         "impurity_curie": args.impurity_curie,
         "inputs": [pipeline_io.file_record(args.chi_csv, args.chi_csv)],
     }
-    pipeline_io.write_json(outdir / "fit_report.json", report)
-
     fig = Figure(title="susceptibility fit", xlabel="T (K)", ylabel="chi (emu/mol)", xlog=True)
     fig.points(curve.temperatures, curve.chi, color="#000000", label="data")
     t_model = np.geomspace(curve.temperatures[0], curve.temperatures[-1], 400)
@@ -131,35 +131,34 @@ def cmd_fit_susceptibility(args) -> int:
         label="model",
     )
     fig.vline(t_max_model, label=f"T_max = {t_max_model:.4g} K")
+
+    outdir = _outdir(args)
+    pipeline_io.write_json(outdir / "fit_report.json", report)
     fig.render(outdir / "chi_fit.svg", timestamp=_timestamp(args))
     return 0
 
 
 def cmd_witness(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     curve = pipeline_io.read_susceptibility_csv(args.chi_csv)
     params = ChainParameters(j_over_kb=args.j_kelvin, g_factor=args.g)
     series = suscept.witness_mwse(curve, params)
-
-    pipeline_io.write_csv_table(
-        outdir / "witness.csv", ["T_K", "MW_SE"], series.temperatures, series.mw_se
-    )
-    pipeline_io.write_json(
-        outdir / "witness_report.json",
-        {
-            "t_se_K": series.t_se,
-            "g_factor": args.g,
-            "spin": params.spin,
-            "inputs": [pipeline_io.file_record(args.chi_csv, args.chi_csv)],
-        },
-    )
-
+    report = {
+        "t_se_K": series.t_se,
+        "g_factor": args.g,
+        "spin": params.spin,
+        "inputs": [pipeline_io.file_record(args.chi_csv, args.chi_csv)],
+    }
     fig = Figure(title="entanglement witness", xlabel="T (K)", ylabel="MW_SE")
     fig.hline(0.0)
     fig.points(series.temperatures, series.mw_se, color="#1f77b4", label="MW_SE")
     if series.t_se is not None:
         fig.vline(series.t_se, color="#d62728", label=f"T_SE = {series.t_se:.4g} K")
+
+    outdir = _outdir(args)
+    pipeline_io.write_csv_table(
+        outdir / "witness.csv", ["T_K", "MW_SE"], series.temperatures, series.mw_se
+    )
+    pipeline_io.write_json(outdir / "witness_report.json", report)
     fig.render(outdir / "witness.svg", timestamp=_timestamp(args))
     return 0
 
@@ -174,141 +173,116 @@ def _model_params(args, policy: str) -> StarykhParams:
     )
 
 
-def _evaluate_qfi(sources, params: StarykhParams, omega_max: float):
-    """F_Q of each (temperature, chi'' source) pair plus the model chi'' curve
-    at that temperature; warnings are recorded rather than printed."""
+def cmd_qfi(args) -> int:
+    """F_Q(T) of chi'' sources: line-shape closures at --temps, or the reduced
+    cuts of --data with the joint line-shape fit that draws their curves."""
+    omega_max = args.omega_max
+    if omega_max is None:
+        omega_max = math.pi * kelvin_to_mev(args.j_kelvin)
+    if args.data:
+        cuts, elastic_records, spectra, policies = [], [], [], set()
+        for path in args.data:
+            manifest, grid, spectrum = pipeline_io.load_dataset(path)
+            rec = {"temperature_K": manifest.temperature_K}
+            cuts.append(pipeline_io.reduce_to_chi_imag(grid, manifest, record=rec))
+            elastic_records.append(rec)
+            spectra.append(spectrum)
+            policies.add(manifest.policies.get("negative_log_policy", "strict"))
+        if not args.policy and len(policies) > 1:
+            raise ValueError(
+                f"manifests disagree on negative_log_policy {sorted(policies)}; "
+                "pass --policy explicitly"
+            )
+        policy = _policy_from_flag(args.policy) if args.policy else policies.pop()
+        params = _model_params(args, policy)
+        fit_result = dynamics.fit_starykh(cuts, params)
+        params = replace(
+            params,
+            a_starykh=fit_result.parameters["a_starykh"],
+            t0_kelvin=fit_result.parameters["t0_kelvin"],
+        )
+        sources = [(cut.temperature, cut) for cut in cuts]
+        mode_fields = {
+            "mode": "data",
+            "starykh_fit": _as_json(fit_result),
+            "elastic_subtraction": elastic_records,
+            "inputs": [pipeline_io.file_record(p, p) for p in args.data] + spectra,
+        }
+    else:
+        temps = _parse_temps(args.temps)
+        params = _model_params(args, _policy_from_flag(args.policy or "strict"))
+        sources = [(t, lambda w, t=t: dynamics.chi_imag_starykh(w, t, params)) for t in temps]
+        mode_fields = {"mode": "model", "model": asdict(params), "inputs": []}
+
     points, curves = [], []
     grid = np.linspace(0.0, omega_max, 241)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for t, source in sources:
             points.append(qfi.compute_qfi(source, t=t, omega_max=omega_max))
-            curves.append((t, grid, dynamics.chi_imag_starykh(grid, t, params)))
-    return points, curves, [str(w.message) for w in caught]
-
-
-def _qfi_model_half(args, temps: list[float], omega_max: float, report: dict):
-    """F_Q of the line-shape model at --temps."""
-    params = _model_params(args, _policy_from_flag(args.policy or "strict"))
-    sources = [(t, lambda w, t=t: dynamics.chi_imag_starykh(w, t, params)) for t in temps]
-    points, curves, report["warnings"] = _evaluate_qfi(sources, params, omega_max)
-    report.update(
-        mode="model",
-        model=asdict(params),
-        inputs=[],
-        negative_log_policy=params.negative_log_policy,
-    )
-    return points, curves, {}
-
-
-def _qfi_data_half(args, omega_max: float, report: dict):
-    """F_Q of reduced chi'' cuts, with a joint line-shape fit to the same cuts."""
-    cuts, elastic_records, spectra, policies = [], [], [], set()
-    for path in args.data:
-        manifest, grid, spectrum = pipeline_io.load_dataset(path)
-        rec = {"temperature_K": manifest.temperature_K}
-        cuts.append(pipeline_io.reduce_to_chi_imag(grid, manifest, record=rec))
-        elastic_records.append(rec)
-        spectra.append(spectrum)
-        policies.add(manifest.policies.get("negative_log_policy", "strict"))
-    if args.policy:
-        policy = _policy_from_flag(args.policy)
-    elif len(policies) > 1:
-        raise ValueError(
-            f"manifests disagree on negative_log_policy {sorted(policies)}; "
-            "pass --policy explicitly"
-        )
-    else:
-        policy = policies.pop()
-    params = _model_params(args, policy)
-
-    fit_result = dynamics.fit_starykh(cuts, params)
-    fitted = replace(
-        params,
-        a_starykh=fit_result.parameters["a_starykh"],
-        t0_kelvin=fit_result.parameters["t0_kelvin"],
-    )
-    sources = [(cut.temperature, cut) for cut in cuts]
-    points, curves, report["warnings"] = _evaluate_qfi(sources, fitted, omega_max)
-    report.update(
-        mode="data",
-        starykh_fit=_as_json(fit_result),
-        elastic_subtraction=elastic_records,
-        inputs=[pipeline_io.file_record(p, p) for p in args.data] + spectra,
-        negative_log_policy=policy,
-    )
-    return points, curves, {cut.temperature: cut for cut in cuts}
-
-
-def cmd_qfi(args) -> int:
-    temps = None if args.data else _parse_temps(args.temps)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    omega_max = args.omega_max
-    if omega_max is None:
-        omega_max = math.pi * kelvin_to_mev(args.j_kelvin)
-
-    report: dict = {"omega_max_meV": omega_max, "z": args.z}
-    if args.data:
-        points, model_curves, data_cuts = _qfi_data_half(args, omega_max, report)
-        pipeline_io.write_json(outdir / "fit_report.json", report["starykh_fit"])
-    else:
-        points, model_curves, data_cuts = _qfi_model_half(args, temps, omega_max, report)
-    temps = np.array([p.temperature for p in points])
-    values = np.array([p.f_q for p in points])
-    errors = [p.quadrature_error_estimate for p in points]
-    pipeline_io.write_csv_table(
-        outdir / "qfi_points.csv", ["T_K", "F_Q", "err"], temps, values, errors
-    )
-
-    scaling = None
-    if len(points) >= 3:
-        scaling = qfi.fit_scaling(points, z=args.z)
-        report["scaling"] = _as_json(scaling)
-    else:
-        report["scaling"] = None
+            curves.append(dynamics.chi_imag_starykh(grid, t, params))
+    scaling = qfi.fit_scaling(points, z=args.z) if len(points) >= 3 else None
+    report = {
+        **mode_fields,
+        "omega_max_meV": omega_max,
+        "z": args.z,
+        "warnings": [str(w.message) for w in caught],
+        "negative_log_policy": params.negative_log_policy,
+        "scaling": None if scaling is None else _as_json(scaling),
+        "points": [
+            {
+                "T_K": p.temperature,
+                "F_Q": p.f_q,
+                "err": p.quadrature_error_estimate,
+                "clipped_count": p.clipped_count,
+                "tail_fraction": p.tail_fraction,
+            }
+            for p in points
+        ],
+    }
+    if scaling is None:
         report["scaling_skipped_reason"] = (
             f"power-law fit needs at least 3 temperatures, got {len(points)}"
         )
-    report["points"] = [
-        {
-            "T_K": p.temperature,
-            "F_Q": p.f_q,
-            "err": p.quadrature_error_estimate,
-            "clipped_count": p.clipped_count,
-            "tail_fraction": p.tail_fraction,
-        }
-        for p in points
-    ]
-    pipeline_io.write_json(outdir / "qfi_report.json", report)
 
-    # chi'' panels: model curve, tanh-weighted area, data points when present
-    fig = Figure(title="dynamic susceptibility", xlabel="E (meV)", ylabel="chi'' (arb.)")
+    # chi'' panels: model curve, tanh-weighted area, the cut's points in data mode
+    chi_fig = Figure(title="dynamic susceptibility", xlabel="E (meV)", ylabel="chi'' (arb.)")
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-    for k, (t, grid_w, chi_curve) in enumerate(model_curves):
+    for k, ((t, source), chi_curve) in enumerate(zip(sources, curves)):
         color = palette[k % len(palette)]
-        weighted = qfi.qfi_integrand(grid_w, t, chi_curve)
-        fig.fill_under(grid_w, weighted, color=color, opacity=0.25)
-        fig.line(grid_w, chi_curve, color=color, label=f"T = {t:g} K")
-        cut = data_cuts.get(t)
-        if cut is not None:
-            mask = (cut.e_axis >= 0) & (cut.e_axis <= omega_max)
-            fig.points(cut.e_axis[mask], cut.values[mask], color=color, radius=1.8)
-    fig.render(outdir / "chi_imag.svg", timestamp=_timestamp(args))
-
-    fig = Figure(
+        chi_fig.fill_under(grid, qfi.qfi_integrand(grid, t, chi_curve), color=color, opacity=0.25)
+        chi_fig.line(grid, chi_curve, color=color, label=f"T = {t:g} K")
+        if args.data:
+            mask = (source.e_axis >= 0) & (source.e_axis <= omega_max)
+            chi_fig.points(source.e_axis[mask], source.values[mask], color=color, radius=1.8)
+    temps = np.array([p.temperature for p in points])
+    values = np.array([p.f_q for p in points])
+    scaling_fig = Figure(
         title="QFI scaling", xlabel="T (K)", ylabel="F_Q (arb.)", xlog=True, ylog=True
     )
-    fig.points(temps, values, color="#000000", label="F_Q(T)")
+    scaling_fig.points(temps, values, color="#000000", label="F_Q(T)")
     if scaling is not None:
         t_line = np.geomspace(temps.min(), temps.max(), 100)
-        fig.line(
+        scaling_fig.line(
             t_line,
             scaling.amplitude * t_line ** (-scaling.delta_q_over_z),
             color="#d62728",
             label=f"slope = -{scaling.delta_q_over_z:.3g}",
         )
-    fig.render(outdir / "qfi_scaling.svg", timestamp=_timestamp(args))
+
+    outdir = _outdir(args)
+    if args.data:
+        pipeline_io.write_json(outdir / "fit_report.json", report["starykh_fit"])
+    pipeline_io.write_csv_table(
+        outdir / "qfi_points.csv",
+        ["T_K", "F_Q", "err"],
+        temps,
+        values,
+        [p.quadrature_error_estimate for p in points],
+    )
+    pipeline_io.write_json(outdir / "qfi_report.json", report)
+    chi_fig.render(outdir / "chi_imag.svg", timestamp=_timestamp(args))
+    scaling_fig.render(outdir / "qfi_scaling.svg", timestamp=_timestamp(args))
     return 0
 
 
@@ -334,35 +308,28 @@ def cmd_spinon(args) -> int:
         )
 
     converted = spinon.powder_to_1d(grid)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    pipeline_io.write_spectrum_csv(outdir / "s1d.csv", converted)
-
     j_mev = kelvin_to_mev(args.j_kelvin)
     bounds = spinon.continuum_bounds(converted.q_axis, j_mev, lattice_c)
     zone_center_q = math.pi / lattice_c
     e_upper_max = float(spinon.two_spinon_bounds(zone_center_q, j_mev, lattice_c)[1])
-
-    pipeline_io.write_json(
-        outdir / "spinon_report.json",
-        {
-            "j_over_kb_K": args.j_kelvin,
-            "j_meV": j_mev,
-            "lattice_c_A": lattice_c,
-            "zone_center_q_invA": zone_center_q,
-            "upper_bound_at_zone_center_meV": e_upper_max,
-            "inputs": [pipeline_io.file_record(args.data, args.data), spectrum],
-        },
-    )
-
+    report = {
+        "j_over_kb_K": args.j_kelvin,
+        "j_meV": j_mev,
+        "lattice_c_A": lattice_c,
+        "zone_center_q_invA": zone_center_q,
+        "upper_bound_at_zone_center_meV": e_upper_max,
+        "inputs": [pipeline_io.file_record(args.data, args.data), spectrum],
+    }
     fig = Figure(title="spinon continuum", xlabel="Q (1/A)", ylabel="E (meV)")
     positive = converted.e_axis >= 0
     fig.cells(converted.q_axis, converted.e_axis[positive], converted.intensity[positive])
     fig.line(bounds.q_axis, bounds.lower, color="#d62728", label="lower bound")
     fig.line(bounds.q_axis, bounds.upper, color="#000000", label="upper bound")
-    fig.annotate(
-        f"E_u(pi/c) = {e_upper_max:.4g} meV", zone_center_q, e_upper_max
-    )
+    fig.annotate(f"E_u(pi/c) = {e_upper_max:.4g} meV", zone_center_q, e_upper_max)
+
+    outdir = _outdir(args)
+    pipeline_io.write_spectrum_csv(outdir / "s1d.csv", converted)
+    pipeline_io.write_json(outdir / "spinon_report.json", report)
     fig.render(outdir / "spinon_overlay.svg", timestamp=_timestamp(args))
     return 0
 
@@ -407,6 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     j_kelvin = argparse.ArgumentParser(add_help=False)
     j_kelvin.add_argument("--j-kelvin", type=float, default=3.1, help="exchange J/k_B in K")
+    line_shape = argparse.ArgumentParser(add_help=False)
+    line_shape.add_argument(
+        "--a-starykh", type=float, default=0.00065, help="line-shape amplitude"
+    )
+    line_shape.add_argument(
+        "--t0-kelvin", type=float, default=None, help="high-energy cutoff (default pi*J/8)"
+    )
     policy = argparse.ArgumentParser(add_help=False)
     policy.add_argument(
         "--policy",
@@ -457,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "qfi",
-        parents=[common, policy, j_kelvin],
+        parents=[common, policy, j_kelvin, line_shape],
         help="quantum Fisher information and scaling fit",
     )
     p.add_argument(
@@ -470,10 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", action="store_true", help="pure-model evaluation")
     group.add_argument("--data", nargs="+", metavar="MANIFEST", help="dataset manifests")
-    p.add_argument("--a-starykh", type=float, default=0.00065, help="line-shape amplitude")
-    p.add_argument(
-        "--t0-kelvin", type=float, default=None, help="high-energy cutoff (default pi*J/8)"
-    )
     p.add_argument(
         "--temps", default="0.04,0.5,3,6.7", help="comma-separated temperatures (model mode)"
     )
@@ -486,14 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spinon)
 
     p = sub.add_parser(
-        "synth", parents=[common, policy, j_kelvin], help="generate a synthetic dataset"
+        "synth",
+        parents=[common, policy, j_kelvin, line_shape],
+        help="generate a synthetic dataset",
     )
     p.add_argument("--g", type=float, default=2.1)
     p.add_argument("--c0", type=float, default=0.0)
     p.add_argument("--c1", type=float, default=0.0)
     p.add_argument("--lattice-c", type=float, default=5.32)
-    p.add_argument("--a-starykh", type=float, default=0.00065)
-    p.add_argument("--t0-kelvin", type=float, default=None)
     p.add_argument("--temps", default="0.04,0.5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0, help="counting-noise scale")
@@ -506,23 +476,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ChainQfiError as exc:
-        _emit_error(exc)
-        return exc.exit_code
-    except (OSError, ValueError) as exc:
-        _emit_error(exc)
-        return 2
-
-
-def _emit_error(exc: Exception) -> None:
-    print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-        file=sys.stderr,
-    )
+    """Run one command. Warnings it raises are held back: on success they are
+    re-issued as raised; on failure they join the one JSON error line."""
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return_code, error = args.func(args), None
+        except ChainQfiError as exc:
+            return_code, error = exc.exit_code, exc
+        except (OSError, ValueError) as exc:
+            return_code, error = 2, exc
+    if error is None:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        return return_code
+    line = {"error": type(error).__name__, "message": str(error)}
+    if caught:
+        line["warnings"] = [
+            {"category": w.category.__name__, "message": str(w.message)} for w in caught
+        ]
+    print(json.dumps(line), file=sys.stderr)
+    return return_code
 
 
 if __name__ == "__main__":

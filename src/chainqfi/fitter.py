@@ -126,8 +126,8 @@ def least_squares(
     cost at the floating-point noise floor of the initial cost; hard cap
     ``_MAX_ITERATIONS`` (500; result returned with ``converged=False``).
 
-    Raises :class:`FitDiverged` when the damping parameter overflows
-    without finding an acceptable step and :class:`SingularJacobian` when
+    Raises :class:`FitDiverged` when the starting cost is not finite or the
+    damping parameter overflows without finding an acceptable step, and :class:`SingularJacobian` when
     the normal equations stay unsolvable. A Jacobian that is singular at
     the starting point triggers a restartable Nelder-Mead fallback.
     """
@@ -170,6 +170,8 @@ def least_squares(
     if not np.all(np.isfinite(r)):
         raise ValueError("residual is not finite at the initial point")
     cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise FitDiverged("cost is not finite at the initial point")
     # residuals this far below the starting cost are pure rounding noise
     noise_floor = (4.0 * np.finfo(float).eps) ** 2 * cost
 

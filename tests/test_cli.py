@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -755,3 +757,139 @@ class TestNotUtf8Csv:
         assert err["error"] == "ParseError"
         assert err["message"].startswith(f"{sqe}: not UTF-8 text: ")
         assert err["message"].endswith(f" at byte {at}")
+
+
+def write_chi_rows(path, rows):
+    path.write_text("T_K,chi_emu_per_mol,sigma\n" + "".join(
+        f"{float(t)!r},{float(chi)!r},0.0\n" for t, chi in rows
+    ))
+    return path
+
+
+def chain_rows(n):
+    t = np.geomspace(0.5, 300.0, n)
+    return list(zip(t, chi_full(t, CHAIN)))
+
+
+# chi.csv files whose fit fails after numpy has raised RuntimeWarnings
+CHI_FAULTS = {
+    # the Pade form overflows at T = 1e-300: the starting residual is not finite
+    "T 1e-300": [(1e-300, chain_rows(12)[0][1]), *chain_rows(12)[1:]],
+    # finite residuals whose squares overflow: the starting cost is not finite
+    "chi 1e300": [(t, 1e300 if k in (1, 2) else chi) for k, (t, chi) in enumerate(chain_rows(4))],
+}
+
+
+class TestFailureWritesNothing:
+    """A failing command leaves --out absent: every command computes its
+    results before it creates the directory."""
+
+    @pytest.mark.parametrize("argv", [["fit-susceptibility"], ["witness", "--g", "2.1"]],
+                             ids=["fit-susceptibility", "witness"])
+    def test_missing_chi_csv(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        code = main([*argv, str(tmp_path / "nope.csv"), "--out", str(out)])
+        assert code == 2
+        assert single_error(capsys)["error"] == "FileNotFoundError"
+        assert not out.exists()
+
+    def test_zero_signal_under_qfi(self, tmp_path, capsys):
+        TestQfiCommand().test_zero_signal_refuses_scaling(tmp_path, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_chi_cost(self, tmp_path, capsys):
+        chi_csv = write_chi_rows(tmp_path / "chi.csv", CHI_FAULTS["chi 1e300"])
+        out = tmp_path / "o"
+        code = main(["fit-susceptibility", str(chi_csv), "--fit-c1", "--out", str(out)])
+        assert code == 3
+        err = single_error(capsys)
+        assert (err["error"], err["message"]) == (
+            "FitDiverged", f"{chi_csv}: cost is not finite at the initial point"
+        )
+        assert not out.exists()
+
+
+class TestOneStderrLine:
+    """A failing command prints one JSON line on stderr and nothing else; the
+    warnings it raised go into that line. In a fresh process no test harness
+    captures warnings, so these run ``python -m chainqfi.cli``."""
+
+    @pytest.mark.parametrize(
+        "fault, flags, code, error",
+        [("T 1e-300", [], 2, "ValueError"), ("chi 1e300", ["--fit-c1"], 3, "FitDiverged")],
+        ids=["T 1e-300", "chi 1e300"],
+    )
+    def test_fit_susceptibility_in_a_fresh_process(self, tmp_path, fault, flags, code, error):
+        chi_csv = write_chi_rows(tmp_path / "chi.csv", CHI_FAULTS[fault])
+        out = tmp_path / "o"
+        src = str(Path(chainqfi.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "chainqfi.cli", "fit-susceptibility", str(chi_csv),
+             *flags, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == error
+        assert err["message"].startswith(f"{chi_csv}: ")
+        assert set(err) <= {"error", "message", "warnings"}
+        assert all(set(w) == {"category", "message"} for w in err.get("warnings", []))
+        if fault == "T 1e-300":
+            assert {w["category"] for w in err["warnings"]} == {"RuntimeWarning"}
+        assert not out.exists()
+
+    def test_warnings_join_the_error_line(self, monkeypatch, capsys):
+        def fail(args):
+            warnings.warn("first", RuntimeWarning)
+            warnings.warn("second", UserWarning)
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "cmd_witness", fail)
+        assert main(["witness", "chi.csv", "--g", "2.1"]) == 2
+        assert single_error(capsys) == {
+            "error": "ValueError",
+            "message": "boom",
+            "warnings": [
+                {"category": "RuntimeWarning", "message": "first"},
+                {"category": "UserWarning", "message": "second"},
+            ],
+        }
+
+    def test_warnings_of_a_success_are_reissued(self, monkeypatch, capsys):
+        def succeed(args):
+            warnings.warn("kept", UserWarning)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_witness", succeed)
+        with pytest.warns(UserWarning, match="kept") as record:
+            assert main(["witness", "chi.csv", "--g", "2.1"]) == 0
+        assert [(w.filename, w.category) for w in record] == [(__file__, UserWarning)]
+        assert capsys.readouterr().err == ""
+
+
+class TestQfiDataCuts:
+    def test_two_cuts_at_one_temperature(self, tmp_path):
+        """Each cut's points are drawn in its own colour, also when two
+        manifests share a temperature."""
+        manifest = Path(make_dataset(tmp_path / "data", temps=(0.5,))["spectra"][0]["manifest"])
+        doubled = manifest.with_name("manifest_doubled.json")
+        doubled.write_text(manifest.read_text())
+        calibration = json.loads(manifest.read_text())["calibration"]
+        rewrite_manifest(doubled, calibration=calibration / 2.0)
+        out = tmp_path / "out"
+        code = main(["qfi", "--data", str(manifest), str(doubled), "--out", str(out),
+                     "--deterministic"])
+        assert code == 0
+        circles = re.findall(
+            r'<circle cx="([^"]+)" cy="([^"]+)" r="[^"]+" fill="([^"]+)"/>',
+            (out / "chi_imag.svg").read_text(),
+        )
+        first = [(cx, cy) for cx, cy, fill in circles if fill == "#1f77b4"]
+        second = [(cx, cy) for cx, cy, fill in circles if fill == "#d62728"]
+        assert len(first) == len(second) > 0
+        assert [cx for cx, _ in first] == [cx for cx, _ in second]
+        assert [cy for _, cy in first] != [cy for _, cy in second]

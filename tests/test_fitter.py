@@ -171,6 +171,14 @@ class TestBoundsAndFallback:
         with pytest.raises(FitDiverged):
             least_squares(residuals, {"a": 1.4})
 
+    def test_non_finite_starting_cost_is_refused(self):
+        # finite residuals whose squares overflow: r @ r is inf at the start
+        def residuals(p):
+            return np.array([1e300, 1e300, 1e300]) + p["a"] + p["b"]
+
+        with pytest.raises(FitDiverged, match="cost is not finite at the initial point"):
+            least_squares(residuals, {"a": 0.0, "b": 0.0})
+
 
 class TestNelderMeadAgainstScipy:
     """The numpy Nelder-Mead rescue against scipy's Nelder-Mead with the same
