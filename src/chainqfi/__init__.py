@@ -4,44 +4,4 @@ finite-temperature dynamic susceptibility, quantum Fisher information
 and its scaling law, plus two-spinon bounds and powder-to-1D conversion.
 """
 
-from .core import (
-    ChainParameters,
-    DEFAULT_UNITS,
-    EnergyCut,
-    SpectrumGrid,
-    UnitSystem,
-    kelvin_to_mev,
-    make_grid,
-    mev_to_kelvin,
-)
-from .dynamics import (
-    StarykhParams,
-    chi_imag_from_sqw,
-    chi_imag_starykh,
-    fit_starykh,
-    scaling_dimension,
-    sqw_starykh,
-)
-from .fitter import FitResult, least_squares
-from .qfi import QfiPoint, ScalingFit, compute_qfi, fit_scaling, qfi_integrand
-from .specfun import gamma_ratio_im, log_gamma_complex
-from .spinon import (
-    ContinuumBounds,
-    continuum_bounds,
-    forward_powder_average,
-    powder_to_1d,
-    two_spinon_bounds,
-)
-from .suscept import (
-    SusceptibilityCurve,
-    WitnessSeries,
-    chi_bonner_fisher,
-    chi_full,
-    find_tmax,
-    find_tmax_model,
-    fit_susceptibility,
-    j_from_tmax,
-    witness_mwse,
-)
-
 __version__ = "0.1.0"

@@ -64,6 +64,12 @@ def _policy_from_flag(flag: str) -> str:
     return {"strict": "strict", "absolute-value": "absolute_value"}[flag]
 
 
+def _reissue(caught) -> None:
+    """Raise again each warning a ``catch_warnings(record=True)`` recorded."""
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -83,8 +89,12 @@ def cmd_fit_susceptibility(args) -> int:
     for frag in args.freeze or []:
         if "=" not in frag:
             raise ValueError(f"--freeze expects NAME=VALUE, got {frag!r}")
-        key, _, value = frag.partition("=")
-        key, value = key.strip(), float(value)
+        key, _, text = frag.partition("=")
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"--freeze expects a number after '=', got {frag!r}") from None
+        key = key.strip()
         param = name_map.get(key, key)
         if param not in start:
             raise ValueError(f"unknown parameter {key!r} in --freeze")
@@ -216,11 +226,15 @@ def cmd_qfi(args) -> int:
 
     points, curves = [], []
     grid = np.linspace(0.0, omega_max, 241)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for t, source in sources:
-            points.append(qfi.compute_qfi(source, t=t, omega_max=omega_max))
-            curves.append(dynamics.chi_imag_starykh(grid, t, params))
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for t, source in sources:
+                points.append(qfi.compute_qfi(source, t=t, omega_max=omega_max))
+                curves.append(dynamics.chi_imag_starykh(grid, t, params))
+    except Exception:
+        _reissue(caught)  # for main to report with the error
+        raise
     scaling = qfi.fit_scaling(points, z=args.z) if len(points) >= 3 else None
     report = {
         **mode_fields,
@@ -487,8 +501,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             return_code, error = 2, exc
     if error is None:
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        _reissue(caught)
         return return_code
     line = {"error": type(error).__name__, "message": str(error)}
     if caught:

@@ -108,7 +108,7 @@ def chi_imag_starykh(omega, t: float, params: StarykhParams):
     formed once per call.
     """
     log_ratio = _log_cutoff_ratio(t, params)
-    delta = 0.25 * (1.0 - 1.0 / (2.0 * log_ratio))
+    delta = scaling_dimension(t, params)
     prefactor = (
         params.a_starykh
         / (math.pi * t)

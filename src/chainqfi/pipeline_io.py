@@ -461,9 +461,11 @@ def reduce_to_chi_imag(
 
 
 # Fixed scales of the synthetic generator, recorded in generation.json:
-# model intensity to detector counts, the width (1/A) of each Gaussian of
-# the momentum envelope, and the resolution FWHM (meV) of the elastic line.
+# model intensity to detector counts, the Q window (1/A) each manifest
+# names, the width (1/A) of each Gaussian of the momentum envelope, and the
+# resolution FWHM (meV) of the elastic line.
 _COUNTS_SCALE = 1.0e4
+_Q_WINDOW = (0.4, 1.1)
 _ENVELOPE_WIDTH = 0.25
 _RESOLUTION_FWHM = 0.0175
 
@@ -475,7 +477,8 @@ class SynthConfig:
     ``noise_level`` scales the counting noise (0 disables it). The
     momentum envelope of the synthetic 1D signal is a pair of Gaussians
     (even in q) centered at the antiferromagnetic zone center pi/c. The
-    counts scale, envelope width and resolution are module constants.
+    counts scale, Q window, envelope width and resolution are module
+    constants.
     """
 
     sample: str = "synthetic-chain"
@@ -491,7 +494,6 @@ class SynthConfig:
         default_factory=lambda: np.geomspace(0.5, 300.0, 80)
     )
     chi_noise_level: float = 0.0
-    q_window: tuple[float, float] = (0.4, 1.1)
     elastic_amplitude: float = 0.0
     flat_background: float = 0.0
 
@@ -542,15 +544,9 @@ def generate_synthetic_dataset(
         return np.exp(-0.5 * ((q - q_zc) / w) ** 2) + np.exp(-0.5 * ((q + q_zc) / w) ** 2)
 
     # powder average of the envelope alone (separability makes this exact)
-    env_grid = spinon.forward_powder_average(
-        lambda q, e: envelope(q), cfg.q_axis, [0.0], temperature=1.0
-    )
+    env_grid = spinon.forward_powder_average(lambda q, e: envelope(q), cfg.q_axis, [0.0])
     env_pwd = env_grid.intensity[0]
-
-    sel = (np.asarray(cfg.q_axis) >= cfg.q_window[0]) & (
-        np.asarray(cfg.q_axis) <= cfg.q_window[1]
-    )
-    window_weight = float(_trapezoid_weights(np.asarray(cfg.q_axis)[sel]) @ env_pwd[sel])
+    window_weight = float(integrate_q_window(env_grid, *_Q_WINDOW).values[0])
 
     e_axis = np.asarray(cfg.e_axis, dtype=float)
     elastic_line = cfg.elastic_amplitude * _resolution_line(e_axis, _RESOLUTION_FWHM)
@@ -579,7 +575,7 @@ def generate_synthetic_dataset(
             sample=cfg.sample,
             temperature_K=float(t),
             resolution_fwhm_meV=_RESOLUTION_FWHM,
-            q_window=cfg.q_window,
+            q_window=_Q_WINDOW,
             lattice_c_A=chain.lattice_c,
             calibration=_COUNTS_SCALE * window_weight,
             policies={
@@ -605,7 +601,7 @@ def generate_synthetic_dataset(
         "chain": asdict(chain),
         "starykh": asdict(starykh),
         "temperatures": [float(t) for t in temperatures],
-        "q_window": list(cfg.q_window),
+        "q_window": list(_Q_WINDOW),
         "envelope_width": _ENVELOPE_WIDTH,
         "elastic_amplitude": cfg.elastic_amplitude,
         "flat_background": cfg.flat_background,

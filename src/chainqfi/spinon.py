@@ -118,7 +118,6 @@ def forward_powder_average(
     s_1d: Callable[[float, float], float],
     q_axis,
     e_axis,
-    temperature: float = 1.0,
 ) -> SpectrumGrid:
     """Powder average of an even 1D scattering function.
 
@@ -127,7 +126,7 @@ def forward_powder_average(
     called with a 1-d array of q nodes and a float e; one that accepts only
     a float q (found out once per call) is evaluated node by node instead.
     Doubles as the synthetic-data engine and as the round-trip oracle for
-    :func:`powder_to_1d`.
+    :func:`powder_to_1d`. The grid carries temperature 1.0.
     """
     q = np.asarray(q_axis, dtype=float)
     e = np.asarray(e_axis, dtype=float)
@@ -150,5 +149,5 @@ def forward_powder_average(
         e_axis=e,
         intensity=intensity,
         errors=np.zeros_like(intensity),
-        temperature=temperature,
+        temperature=1.0,
     )

@@ -136,9 +136,9 @@ class Figure:
         self._ydata.extend(y[ok].tolist())
         return x, y, ok
 
-    def line(self, x, y, color="#d62728", width=1.5, dash=None, label=None):
+    def line(self, x, y, color="#d62728", dash=None, label=None):
         x, y, ok = self._track(x, y)
-        self._elements.append(("line", x[ok], y[ok], color, width, dash, label))
+        self._elements.append(("line", x[ok], y[ok], color, 1.5, dash, label))
 
     def points(self, x, y, color="#000000", radius=2.5, label=None):
         x, y, ok = self._track(x, y)
@@ -148,11 +148,11 @@ class Figure:
         x, y, ok = self._track(x, y)
         self._elements.append(("fill", x[ok], y[ok], color, opacity, label))
 
-    def vline(self, x, color="#444444", dash="4 3", label=None):
-        self._elements.append(("vline", float(x), color, dash, label))
+    def vline(self, x, color="#444444", label=None):
+        self._elements.append(("vline", float(x), color, "4 3", label))
 
-    def hline(self, y, color="#444444", dash="4 3", label=None):
-        self._elements.append(("hline", float(y), color, dash, label))
+    def hline(self, y):
+        self._elements.append(("hline", float(y), "#444444", "4 3", None))
 
     def cells(self, x_centers, y_centers, values, label=None):
         """Filled-rectangle map; values normalized over their finite range."""
@@ -162,8 +162,8 @@ class Figure:
         self._track(np.full_like(y, x[0]), y)
         self._elements.append(("cells", x, y, np.asarray(values, dtype=float), label))
 
-    def annotate(self, text, x, y, color="#000000"):
-        self._elements.append(("annotate", str(text), float(x), float(y), color))
+    def annotate(self, text, x, y):
+        self._elements.append(("annotate", str(text), float(x), float(y), "#000000"))
 
     # --- rendering ---
 

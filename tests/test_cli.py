@@ -893,3 +893,50 @@ class TestQfiDataCuts:
         assert len(first) == len(second) > 0
         assert [cx for cx, _ in first] == [cx for cx, _ in second]
         assert [cy for _, cy in first] != [cy for _, cy in second]
+
+
+def run_fresh(*args) -> subprocess.CompletedProcess:
+    """``python`` with ``args`` in a fresh process, this checkout's package first."""
+    src = str(Path(chainqfi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_package_import_loads_no_submodule():
+    done = run_fresh("-c", "import json, sys, chainqfi; print(json.dumps(sorted(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    loaded = [name for name in json.loads(done.stdout) if name.startswith("chainqfi.")]
+    assert loaded == []
+
+
+class TestFailureKeepsItsWarnings:
+    """Each command fails in a fresh process with one JSON line on stderr and
+    no --out directory."""
+
+    def test_qfi_model_strict_past_the_cutoff(self, tmp_path):
+        # 0.04 and 0.5 K warn of truncation, then 3 K lies above the cutoff
+        out = tmp_path / "o"
+        done = run_fresh("-m", "chainqfi.cli", "qfi", "--model", "--policy", "strict",
+                         "--out", str(out))
+        assert done.returncode == 4
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "CutoffDomainError"
+        assert err["message"].startswith("T = 3 K is too close to the cutoff")
+        assert [w["category"] for w in err["warnings"]] == ["TruncationWarning"] * 2
+        assert not out.exists()
+
+    def test_freeze_with_a_value_that_is_not_a_number(self, tmp_path):
+        chi_csv = write_chi(tmp_path / "chi.csv")
+        out = tmp_path / "o"
+        done = run_fresh("-m", "chainqfi.cli", "fit-susceptibility", str(chi_csv),
+                         "--freeze", "g=abc", "--out", str(out))
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [json.dumps({
+            "error": "ValueError",
+            "message": "--freeze expects a number after '=', got 'g=abc'",
+        })]
+        assert not out.exists()

@@ -1,8 +1,11 @@
 """The whole-array cell map, lines, fills and markers of ``Figure.render``
 against the per-cell and per-point loops they replaced, byte for byte."""
+import math
 import os
+import signal
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -398,3 +401,40 @@ def test_nice_ticks_count_is_bounded(target):
         ticks = svgplot.nice_ticks(lo, hi, target)
         assert 1 <= len(ticks) <= max(target, 2) + 2
         assert ticks == sorted(ticks) and lo <= ticks[0] and ticks[-1] <= hi + 1e-6 * (hi - lo)
+
+
+# Above about 1e307 a log axis's tick labels overflow; the bound keeps the
+# property to the values a figure can place.
+FINITE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def series(draw):
+    """Up to 10 finite values; half the time all within one ulp of a base."""
+    n = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        base = draw(FINITE)
+        return [draw(st.sampled_from((base, math.nextafter(base, math.inf))))
+                for _ in range(n)]
+    return draw(st.lists(FINITE, min_size=n, max_size=n))
+
+
+def render_hung(signum, frame):
+    raise TimeoutError("render did not return within 3 s")
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=1), derandomize=True)
+@given(series(), series(), st.sampled_from(list(AXES)))
+def test_render_returns_for_any_finite_series(tmp_path_factory, xs, ys, axes):
+    n = min(len(xs), len(ys))
+    fig = drawn(xs[:n], ys[:n], **AXES[axes])
+    path = tmp_path_factory.mktemp("render") / "fig.svg"
+    # the alarm turns a hang into a failure; the deadline catches a slow render
+    previous = signal.signal(signal.SIGALRM, render_hung)
+    signal.setitimer(signal.ITIMER_REAL, 3.0)
+    try:
+        fig.render(path)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert path.read_bytes().endswith(b"</svg>\n")
