@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: fit-susceptibility, witness, qfi, spinon, synth. Every
-command writes its numeric results to CSV/JSON next to the figures, so
-the SVGs are never the only record. Each analysis command reads,
-validates, fits and integrates first, then builds its report and figures,
-and only then creates --out and writes them, so a failing command leaves
-no output files. Exit codes: 0 success, 2 input or configuration error,
-3 numerical failure, 4 domain-policy error; errors are emitted as JSON on
-stderr.
+analysis command writes its numeric results to CSV/JSON next to the
+figures, so the SVGs are never the only record. Each ``cmd_*`` reads,
+validates, fits and integrates, then returns its reports, tables and
+figures as ``{file name: content}``; ``main`` alone creates --out and
+writes them, with one timestamp for every SVG, and only after the command
+has returned, so a failing command leaves no output files. ``synth``
+returns nothing: the generator writes its dataset itself. Exit codes: 0
+success, 2 input or configuration error, 3 numerical failure, 4
+domain-policy error; errors are emitted as JSON on stderr.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, pipeline_io, qfi, spinon, suscept
-from .core import ChainParameters, kelvin_to_mev
+from .core import ChainParameters, SpectrumGrid, kelvin_to_mev
 from .dynamics import StarykhParams
 from .errors import ChainQfiError, FitDiverged, NoInteriorMaximum
 from .svgplot import Figure
@@ -33,12 +35,6 @@ J_FROM_TMAX_NOTE = (
     "T_max = 1.95 K this gives 3.043 K, about 0.2% below the commonly "
     "quoted rounded value of 3.05 K."
 )
-
-
-def _timestamp(args) -> str | None:
-    if args.deterministic:
-        return None
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _as_json(result) -> dict:
@@ -74,14 +70,7 @@ def _reissue(caught) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _outdir(args) -> Path:
-    """The --out directory, created; called only once a command has its results."""
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def cmd_fit_susceptibility(args) -> int:
+def cmd_fit_susceptibility(args) -> dict:
     curve = pipeline_io.read_susceptibility_csv(args.chi_csv)
     name_map = {"J": "j_over_kb", "g": "g_factor", "C0": "c0", "C1": "c1"}
     start = {"j_over_kb": args.j0, "g_factor": args.g0, "c0": args.c00, "c1": args.c10}
@@ -109,7 +98,9 @@ def cmd_fit_susceptibility(args) -> int:
     except (ChainQfiError, ValueError) as exc:
         raise type(exc)(f"{args.chi_csv}: {exc}") from exc
     if not result.converged:
-        raise FitDiverged("susceptibility fit did not converge: " + result.message)
+        raise FitDiverged(
+            f"{args.chi_csv}: susceptibility fit did not converge: {result.message}"
+        )
 
     fitted = ChainParameters(**result.parameters)
     t_max_model, t_max_model_unc = suscept.find_tmax_model(fitted)
@@ -142,13 +133,10 @@ def cmd_fit_susceptibility(args) -> int:
     )
     fig.vline(t_max_model, label=f"T_max = {t_max_model:.4g} K")
 
-    outdir = _outdir(args)
-    pipeline_io.write_json(outdir / "fit_report.json", report)
-    fig.render(outdir / "chi_fit.svg", timestamp=_timestamp(args))
-    return 0
+    return {"fit_report.json": report, "chi_fit.svg": fig}
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> dict:
     curve = pipeline_io.read_susceptibility_csv(args.chi_csv)
     params = ChainParameters(j_over_kb=args.j_kelvin, g_factor=args.g)
     series = suscept.witness_mwse(curve, params)
@@ -164,13 +152,11 @@ def cmd_witness(args) -> int:
     if series.t_se is not None:
         fig.vline(series.t_se, color="#d62728", label=f"T_SE = {series.t_se:.4g} K")
 
-    outdir = _outdir(args)
-    pipeline_io.write_csv_table(
-        outdir / "witness.csv", ["T_K", "MW_SE"], series.temperatures, series.mw_se
-    )
-    pipeline_io.write_json(outdir / "witness_report.json", report)
-    fig.render(outdir / "witness.svg", timestamp=_timestamp(args))
-    return 0
+    return {
+        "witness.csv": (["T_K", "MW_SE"], series.temperatures, series.mw_se),
+        "witness_report.json": report,
+        "witness.svg": fig,
+    }
 
 
 def _model_params(args, policy: str) -> StarykhParams:
@@ -183,7 +169,7 @@ def _model_params(args, policy: str) -> StarykhParams:
     )
 
 
-def cmd_qfi(args) -> int:
+def cmd_qfi(args) -> dict:
     """F_Q(T) of chi'' sources: line-shape closures at --temps, or the reduced
     cuts of --data with the joint line-shape fit that draws their curves."""
     omega_max = args.omega_max
@@ -284,23 +270,19 @@ def cmd_qfi(args) -> int:
             label=f"slope = -{scaling.delta_q_over_z:.3g}",
         )
 
-    outdir = _outdir(args)
-    if args.data:
-        pipeline_io.write_json(outdir / "fit_report.json", report["starykh_fit"])
-    pipeline_io.write_csv_table(
-        outdir / "qfi_points.csv",
-        ["T_K", "F_Q", "err"],
-        temps,
-        values,
-        [p.quadrature_error_estimate for p in points],
-    )
-    pipeline_io.write_json(outdir / "qfi_report.json", report)
-    chi_fig.render(outdir / "chi_imag.svg", timestamp=_timestamp(args))
-    scaling_fig.render(outdir / "qfi_scaling.svg", timestamp=_timestamp(args))
-    return 0
+    fit_report = {"fit_report.json": report["starykh_fit"]} if args.data else {}
+    return {
+        **fit_report,
+        "qfi_points.csv": (
+            ["T_K", "F_Q", "err"], temps, values, [p.quadrature_error_estimate for p in points]
+        ),
+        "qfi_report.json": report,
+        "chi_imag.svg": chi_fig,
+        "qfi_scaling.svg": scaling_fig,
+    }
 
 
-def cmd_spinon(args) -> int:
+def cmd_spinon(args) -> dict:
     manifest, grid, spectrum = pipeline_io.load_dataset(args.data)
     lattice_c = manifest.lattice_c_A
     if lattice_c is None:
@@ -341,14 +323,10 @@ def cmd_spinon(args) -> int:
     fig.line(bounds.q_axis, bounds.upper, color="#000000", label="upper bound")
     fig.annotate(f"E_u(pi/c) = {e_upper_max:.4g} meV", zone_center_q, e_upper_max)
 
-    outdir = _outdir(args)
-    pipeline_io.write_spectrum_csv(outdir / "s1d.csv", converted)
-    pipeline_io.write_json(outdir / "spinon_report.json", report)
-    fig.render(outdir / "spinon_overlay.svg", timestamp=_timestamp(args))
-    return 0
+    return {"s1d.csv": converted, "spinon_report.json": report, "spinon_overlay.svg": fig}
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     temps = _parse_temps(args.temps)
     policy = _policy_from_flag(args.policy or "strict")
     chain = ChainParameters(
@@ -371,7 +349,6 @@ def cmd_synth(args) -> int:
         chain, starykh, temps, args.out, config=config
     )
     print(json.dumps(written, indent=2, sort_keys=True))
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -489,20 +466,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(outputs: dict, outdir: Path, stamp: str | None) -> None:
+    """Create ``outdir`` and write each ``{file name: content}`` entry into it,
+    in order: a dict as JSON, a ``(header, *columns)`` tuple as a CSV table, a
+    SpectrumGrid as a spectrum CSV, a Figure as SVG stamped with ``stamp``."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in outputs.items():
+        path = outdir / name
+        if isinstance(content, Figure):
+            content.render(path, timestamp=stamp)
+        elif isinstance(content, SpectrumGrid):
+            pipeline_io.write_spectrum_csv(path, content)
+        elif isinstance(content, tuple):
+            pipeline_io.write_csv_table(path, *content)
+        else:
+            pipeline_io.write_json(path, content)
+
+
 def main(argv=None) -> int:
-    """Run one command. Warnings it raises are held back: on success they are
-    re-issued as raised; on failure they join the one JSON error line."""
+    """Run one command, then write what it returned; a command that raises
+    writes nothing. Warnings are held back: on success they are re-issued as
+    raised; on failure they join the one JSON error line."""
     args = build_parser().parse_args(argv)
+    error = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return_code, error = args.func(args), None
+            outputs = args.func(args)
+            if outputs:
+                stamp = None if args.deterministic else datetime.now(timezone.utc).isoformat()
+                _write(outputs, Path(args.out), stamp)
         except ChainQfiError as exc:
             return_code, error = exc.exit_code, exc
         except (OSError, ValueError) as exc:
             return_code, error = 2, exc
     if error is None:
         _reissue(caught)
-        return return_code
+        return 0
     line = {"error": type(error).__name__, "message": str(error)}
     if caught:
         line["warnings"] = [

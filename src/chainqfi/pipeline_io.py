@@ -119,9 +119,11 @@ _MANIFEST_RULES = {
     "lattice_c_A": ("null or a finite number > 0", lambda v: v is None or _is_positive(v)),
     "calibration": ("a finite number > 0", _is_positive),
     "policies": (
-        f"an object whose negative_log_policy is one of {dynamics.POLICIES}",
+        f"an object whose negative_log_policy is one of {dynamics.POLICIES} and whose "
+        "clip_negative_chi_imag, if set, is true (negative chi'' is always clipped)",
         lambda v: isinstance(v, dict)
-        and v.get("negative_log_policy", "strict") in dynamics.POLICIES,
+        and v.get("negative_log_policy", "strict") in dynamics.POLICIES
+        and v.get("clip_negative_chi_imag", True) is True,
     ),
     "inputs": (
         "a list of objects with a string 'path' and 'sha256'",

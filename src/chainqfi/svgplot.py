@@ -17,6 +17,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _fmt_pow10(v: float) -> str:
+    """``_fmt(10**v)``; where 10**v overflows a float, its mantissa and
+    power of ten are formatted apart, in the same style."""
+    try:
+        return _fmt(10**v)
+    except OverflowError:
+        p = math.floor(v)
+        return f"{_fmt(10 ** (v - p))}e+{p:d}"
+
+
 def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     """Round tick values in [lo, hi]; a range flat to within 1e-12 of its
     magnitude gets the one tick ``lo``, since a step below the float
@@ -86,7 +96,7 @@ class _Axis(NamedTuple):
             if lo <= p <= hi:
                 ticks.append((p, f"1e{p:d}" if p not in (0, 1) else ("1" if p == 0 else "10")))
         if len(ticks) < 2:  # narrow log range: fall back to linear ticks in log space
-            ticks = [(v, _fmt(10**v)) for v in nice_ticks(lo, hi, 4)]
+            ticks = [(v, _fmt_pow10(v)) for v in nice_ticks(lo, hi, 4)]
         return ticks
 
 
@@ -152,7 +162,7 @@ class Figure:
         self._elements.append(("vline", float(x), color, "4 3", label))
 
     def hline(self, y):
-        self._elements.append(("hline", float(y), "#444444", "4 3", None))
+        self._elements.append(("hline", float(y), "#444444", "4 3"))
 
     def cells(self, x_centers, y_centers, values, label=None):
         """Filled-rectangle map; values normalized over their finite range."""
@@ -272,13 +282,11 @@ class Figure:
                 if label:
                     legend_items.append((label, color))
             elif kind == "hline":
-                _, yv, color, dash, label = el
+                _, yv, color, dash = el
                 out.append(
                     f'<line x1="{x0}" y1="{_fmt(py(yv))}" x2="{x1}" y2="{_fmt(py(yv))}" '
                     f'stroke="{color}" stroke-dasharray="{dash}"/>'
                 )
-                if label:
-                    legend_items.append((label, color))
             elif kind == "annotate":
                 _, text, xv, yv, color = el
                 out.append(

@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 import warnings
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chainqfi
-from chainqfi import cli
+from chainqfi import cli, fitter
 from chainqfi.cli import build_parser, main
 from chainqfi.core import ChainParameters, SpectrumGrid
 from chainqfi.errors import ChainQfiError
@@ -940,3 +941,79 @@ class TestFailureKeepsItsWarnings:
             "message": "--freeze expects a number after '=', got 'g=abc'",
         })]
         assert not out.exists()
+
+
+class TestClipPolicyIsRefused:
+    """Negative chi'' is always clipped, so a manifest that asks for anything
+    else is refused instead of ignored."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return make_dataset(tmp_path / "data", temps=(0.5,))["spectra"][0]["manifest"]
+
+    @pytest.mark.parametrize("value", [False, None, 1, "true"])
+    @pytest.mark.parametrize("command", ["qfi", "spinon"])
+    def test_clip_other_than_true(self, manifest, tmp_path, capsys, command, value):
+        policies = {"negative_log_policy": "strict", "clip_negative_chi_imag": value}
+        rewrite_manifest(manifest, policies=policies)
+        out = tmp_path / "o"
+        assert main([command, "--data", manifest, "--out", str(out)]) == 2
+        err = single_error(capsys)
+        assert err["error"] == "ParseError"
+        assert manifest in err["message"] and "policies" in err["message"]
+        assert not out.exists()
+
+    def test_clip_absent(self, manifest, tmp_path):
+        rewrite_manifest(manifest, policies={})
+        out = tmp_path / "o"
+        assert main(["spinon", "--data", manifest, "--out", str(out), "--deterministic"]) == 0
+        assert (out / "spinon_report.json").exists()
+
+
+def test_unconverged_fit_names_the_file(tmp_path, monkeypatch, capsys):
+    chi_csv = make_dataset(tmp_path / "data", temps=(0.5,))["chi_csv"]
+    monkeypatch.setattr(fitter, "_MAX_ITERATIONS", 1)
+    out = tmp_path / "o"
+    assert main(["fit-susceptibility", chi_csv, "--freeze", "g=2.1", "--out", str(out)]) == 3
+    assert single_error(capsys) == {
+        "error": "FitDiverged",
+        "message": f"{chi_csv}: susceptibility fit did not converge: maximum iterations reached",
+    }
+    assert not out.exists()
+
+
+def stamped_run_commands(data):
+    chi_csv = data["chi_csv"]
+    manifests = [entry["manifest"] for entry in data["spectra"]]
+    return {
+        "fit-susceptibility": ["fit-susceptibility", chi_csv, "--freeze", "g=2.1"],
+        "witness": ["witness", chi_csv, "--g", "2.1"],
+        "qfi --model": ["qfi", "--model", "--policy", "absolute-value"],
+        "qfi --data": ["qfi", "--data", *manifests],
+        "spinon": ["spinon", "--data", manifests[0]],
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["fit-susceptibility", "witness", "qfi --model", "qfi --data", "spinon"]
+)
+def test_stamped_run_differs_only_in_the_svg_stamp(tmp_path, command):
+    """Without --deterministic every file but the SVGs is byte-identical to
+    the deterministic run; each SVG gains one timestamp comment as its second
+    line, and all SVGs of one run carry the same one."""
+    argv = stamped_run_commands(make_dataset(tmp_path / "data"))[command]
+    assert main([*argv, "--out", str(tmp_path / "plain"), "--deterministic"]) == 0
+    assert main([*argv, "--out", str(tmp_path / "stamped")]) == 0
+    plain, stamped = tree_bytes(tmp_path / "plain"), tree_bytes(tmp_path / "stamped")
+    assert plain.keys() == stamped.keys()
+    stamps = set()
+    for name, body in plain.items():
+        if not name.endswith(".svg"):
+            assert stamped[name] == body, name
+            continue
+        lines = stamped[name].split(b"\n")
+        stamps.add(lines.pop(1))
+        assert lines == body.split(b"\n"), name
+    assert len(stamps) == 1
+    stamp = re.fullmatch(rb"<!-- generated (\S+) -->", stamps.pop())
+    assert datetime.fromisoformat(stamp[1].decode()).tzinfo is not None

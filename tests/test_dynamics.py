@@ -14,6 +14,7 @@ from chainqfi.dynamics import (
     chi_imag_starykh,
     fit_starykh,
     scaling_dimension,
+    sqw_on_axis,
     sqw_starykh,
     t0_feasible_interval,
 )
@@ -340,3 +341,19 @@ class TestDetailedBalance:
         np.testing.assert_allclose(
             sqw * detailed_balance(omega, 0.5), chi_imag_starykh(omega, 0.5, STRICT), rtol=1e-15
         )
+
+
+class TestSqwOnAxisAtZero:
+    """At E = 0 ``sqw_on_axis`` takes the limit kT * chi''(h) / h, h = 1e-6,
+    which lies within (h / kT)^2 / 12 of the mean of S(h) and S(-h)."""
+
+    H = 1e-6
+
+    @pytest.mark.parametrize("t", [0.2, 0.5])
+    def test_limit_at_zero_energy(self, t):
+        e = np.array([-0.1, 0.0, 0.1])
+        out = sqw_on_axis(e, t, STRICT)
+        assert out[1] == KB * t * (chi_imag_starykh(self.H, t, STRICT) / self.H)
+        mean = 0.5 * (sqw_starykh(self.H, t, STRICT) + sqw_starykh(-self.H, t, STRICT))
+        assert out[1] == pytest.approx(mean, rel=1e-7, abs=0.0)
+        np.testing.assert_array_equal(out[[0, 2]], sqw_starykh(e[[0, 2]], t, STRICT))

@@ -215,3 +215,14 @@ class TestNelderMeadAgainstScipy:
         assert rosenbrock(u) <= 1e-12
         np.testing.assert_allclose(u, [1.0, 1.0], rtol=0, atol=1e-5)
         np.testing.assert_allclose(u, oracle.x, rtol=0, atol=1e-5)
+
+
+def test_iteration_cap_is_reported(monkeypatch):
+    def residuals(p):
+        return np.array([10.0 * (p["y"] - p["x"] ** 2), 1.0 - p["x"]])
+
+    monkeypatch.setattr(fitter, "_MAX_ITERATIONS", 1)
+    res = least_squares(residuals, {"x": -1.2, "y": 1.0})
+    assert res.iterations == 1
+    assert res.converged is False
+    assert res.message == "maximum iterations reached"

@@ -875,3 +875,14 @@ class TestLoadtxtPathMatchesTheCsvWalk:
             read_spectrum_csv(spectrum["sqe_csv"], MANIFEST)
 
 
+
+
+def test_synthetic_spectrum_row_at_zero_energy(tmp_path):
+    e_axis = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+    written = generate_synthetic_dataset(
+        CHAIN, STARYKH, [0.5], tmp_path, config=small_config(e_axis=e_axis)
+    )
+    entry = written["spectra"][0]
+    grid = read_spectrum_csv(entry["sqe_csv"], DatasetManifest.load(entry["manifest"]))
+    np.testing.assert_array_equal(grid.e_axis, e_axis)
+    assert np.all(np.isfinite(grid.intensity[2])) and np.all(grid.intensity[2] > 0)

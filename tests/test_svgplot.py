@@ -438,3 +438,27 @@ def test_render_returns_for_any_finite_series(tmp_path_factory, xs, ys, axes):
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert path.read_bytes().endswith(b"</svg>\n")
+
+
+@pytest.mark.parametrize(
+    "axes, x, y, labels",
+    [
+        ({"xlog": True}, 1.7e308, 1.0, [b">1e+308<", b">3.16228e+308<"]),
+        ({"ylog": True}, 1.0, 1.7e308, [b">1e+308<", b">3.16228e+308<"]),
+        ({"xlog": True}, sys.float_info.max, 1.0, [b">1e+308<", b">3.16228e+308<"]),
+    ],
+    ids=["x 1.7e308", "y 1.7e308", "x float max"],
+)
+def test_narrow_log_axis_at_the_float_maximum_renders(tmp_path, axes, x, y, labels):
+    # the tick at 10**308.5 is above the float maximum; its label is written
+    # as mantissa and power of ten instead of overflowing
+    fig = Figure(**axes)
+    fig.points([x], [y])
+    fig.render(tmp_path / "fig.svg")
+    svg = (tmp_path / "fig.svg").read_bytes()
+    assert all(label in svg for label in labels) and svg.endswith(b"</svg>\n")
+
+
+@pytest.mark.parametrize("v", [-12.3, -0.5, 0.0, 0.2, 1.4, 7.6, 300.2, 308.2])
+def test_power_of_ten_label_where_it_is_finite(v):
+    assert svgplot._fmt_pow10(v) == _fmt(10**v)

@@ -7,7 +7,8 @@ SRC (default: the ``src`` directory of this checkout) goes first on
 PYTHONPATH, and each command runs as ``python -m chainqfi.cli`` in a fresh
 process inside a temporary directory. A tree's digest equals
 ``LC_ALL=C find . -type f | sort | xargs sha256sum | sha256sum`` run in that
-tree. The exit status is 1 when any command fails, after its stderr is shown.
+tree. The exit status is 1 when any command fails or writes anything to
+stderr (a warning, say), after that stderr is shown.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def main(argv: list[str]) -> int:
                 [sys.executable, "-m", "chainqfi.cli", *args, "--deterministic"],
                 cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             )
-            if run.returncode != 0:
+            if run.returncode != 0 or run.stderr:
                 print(f"{tree}: exit {run.returncode}\n{run.stderr}", file=sys.stderr)
                 return 1
             print(f"{tree_digest(Path(tmp) / args[args.index('--out') + 1])}  {tree}")
