@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, pipeline_io, qfi, spinon, suscept
-from .core import ChainParameters, SpectrumGrid, kelvin_to_mev
+from .core import ChainParameters, SpectrumGrid, _is_positive, kelvin_to_mev
 from .dynamics import StarykhParams
 from .errors import ChainQfiError, FitDiverged, NoInteriorMaximum
 from .svgplot import Figure
@@ -35,6 +35,10 @@ J_FROM_TMAX_NOTE = (
     "T_max = 1.95 K this gives 3.043 K, about 0.2% below the commonly "
     "quoted rounded value of 3.05 K."
 )
+
+
+# the temperatures (K) of qfi --model without --temps
+MODEL_TEMPS = "0.04,0.5,3,6.7"
 
 
 def _as_json(result) -> dict:
@@ -50,10 +54,18 @@ def _parse_temps(text: str) -> list[float]:
             value = float(token)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and value > 0):
+        if not _is_positive(value):
             raise ValueError(f"--temps entry {k} ({token!r}) must be a finite number > 0")
         temps.append(value)
     return temps
+
+
+def _require_positive_flags(args, *flags: str) -> None:
+    """Refuse each of ``flags`` that is set but not a finite number > 0."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not _is_positive(value):
+            raise ValueError(f"{flag} must be a finite number > 0, got {value}")
 
 
 def _policy_from_flag(flag: str) -> str:
@@ -172,6 +184,11 @@ def _model_params(args, policy: str) -> StarykhParams:
 def cmd_qfi(args) -> dict:
     """F_Q(T) of chi'' sources: line-shape closures at --temps, or the reduced
     cuts of --data with the joint line-shape fit that draws their curves."""
+    _require_positive_flags(args, "--j-kelvin", "--omega-max", "--z")
+    if args.data and args.temps is not None:
+        raise ValueError(
+            "--temps is for qfi --model; qfi --data reads each temperature from its manifest"
+        )
     omega_max = args.omega_max
     if omega_max is None:
         omega_max = math.pi * kelvin_to_mev(args.j_kelvin)
@@ -205,7 +222,7 @@ def cmd_qfi(args) -> dict:
             "inputs": [pipeline_io.file_record(p, p) for p in args.data] + spectra,
         }
     else:
-        temps = _parse_temps(args.temps)
+        temps = _parse_temps(MODEL_TEMPS if args.temps is None else args.temps)
         params = _model_params(args, _policy_from_flag(args.policy or "strict"))
         sources = [(t, lambda w, t=t: dynamics.chi_imag_starykh(w, t, params)) for t in temps]
         mode_fields = {"mode": "model", "model": asdict(params), "inputs": []}
@@ -283,6 +300,7 @@ def cmd_qfi(args) -> dict:
 
 
 def cmd_spinon(args) -> dict:
+    _require_positive_flags(args, "--j-kelvin")
     manifest, grid, spectrum = pipeline_io.load_dataset(args.data)
     lattice_c = manifest.lattice_c_A
     if lattice_c is None:
@@ -436,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", action="store_true", help="pure-model evaluation")
     group.add_argument("--data", nargs="+", metavar="MANIFEST", help="dataset manifests")
     p.add_argument(
-        "--temps", default="0.04,0.5,3,6.7", help="comma-separated temperatures (model mode)"
+        "--temps", help=f"comma-separated temperatures, --model only (default {MODEL_TEMPS})"
     )
     p.set_defaults(func=cmd_qfi)
 

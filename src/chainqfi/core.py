@@ -8,6 +8,8 @@ them from there, and none takes them as a parameter.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,23 @@ def mev_to_kelvin(e):
     return float(out) if out.ndim == 0 else out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_positive(value) -> bool:
+    """A finite real number > 0 (not a bool): the rule for every positive scalar."""
+    return _is_number(value) and value > 0
+
+
+def _require_positive(obj, *names) -> None:
+    """Raise ValueError naming the first of the fields ``names`` not a finite number > 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not _is_positive(value):
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
+
+
 def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
@@ -82,17 +101,32 @@ def _freeze(obj, *names) -> None:
         object.__setattr__(obj, name, _frozen_array(getattr(obj, name)))
 
 
-def _freeze_temperature(obj) -> None:
-    if not (np.isfinite(obj.temperature) and obj.temperature > 0):
-        raise NonPositiveTemperature(f"temperature must be positive, got {obj.temperature}")
-    object.__setattr__(obj, "temperature", float(obj.temperature))
-
-
 def _require_strictly_increasing(axis: np.ndarray, name: str) -> None:
     if axis.ndim != 1 or axis.size < 1:
         raise AxisNotMonotone(f"{name} must be a non-empty 1-d array")
     if axis.size > 1 and not np.all(np.diff(axis) > 0):
         raise AxisNotMonotone(f"{name} must be strictly increasing")
+
+
+def _check_record(obj, axes: tuple[str, ...], values: str) -> None:
+    """Freeze a measured record and check it: each of ``axes`` strictly
+    increasing, ``values`` and ``errors`` one dimension per axis in that
+    order, no NaN value, errors >= 0, and the temperature a finite number > 0."""
+    _freeze(obj, *axes, values, "errors")
+    for name in axes:
+        _require_strictly_increasing(getattr(obj, name), name)
+    expected = tuple(getattr(obj, name).size for name in axes)
+    for name in (values, "errors"):
+        shape = getattr(obj, name).shape
+        if shape != expected:
+            raise ShapeMismatch(f"{name} shape {shape} does not match {axes} = {expected}")
+    if np.any(np.isnan(getattr(obj, values))):
+        raise ValueError(f"{values} must not contain NaN")
+    if np.any(obj.errors < 0) or np.any(np.isnan(obj.errors)):
+        raise ValueError("errors must be nonnegative")
+    if not _is_positive(t := obj.temperature):
+        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {t}")
+    object.__setattr__(obj, "temperature", float(t))
 
 
 @dataclass(frozen=True)
@@ -114,16 +148,13 @@ class ChainParameters:
     lattice_c: float | None = None
 
     def __post_init__(self):
-        if not (self.j_over_kb > 0):
-            raise ValueError("j_over_kb must be positive (antiferromagnetic)")
-        if not (self.g_factor > 0):
-            raise ValueError("g_factor must be positive")
+        _require_positive(self, "j_over_kb", "g_factor")
         if self.spin != 0.5:
             raise ValueError("only spin 1/2 is supported")
         if self.c1 > 0:
             raise ValueError("c1 is a diamagnetic constant and must be <= 0")
-        if self.lattice_c is not None and not (self.lattice_c > 0):
-            raise ValueError("lattice_c must be positive when given")
+        if self.lattice_c is not None:
+            _require_positive(self, "lattice_c")
 
 
 @dataclass(frozen=True)
@@ -141,26 +172,10 @@ class SpectrumGrid:
     temperature: float
 
     def __post_init__(self):
-        _freeze(self, "q_axis", "e_axis", "intensity", "errors")
-        _require_strictly_increasing(self.q_axis, "q_axis")
-        _require_strictly_increasing(self.e_axis, "e_axis")
-        expected = (self.e_axis.size, self.q_axis.size)
-        for name in ("intensity", "errors"):
-            shape = getattr(self, name).shape
-            if shape != expected:
-                raise ShapeMismatch(
-                    f"{name} shape {shape} does not match (n_e, n_q) = {expected}"
-                )
-        if np.any(np.isnan(self.intensity)):
-            raise ValueError("intensity contains NaN")
-        if np.any(self.errors < 0) or np.any(np.isnan(self.errors)):
-            raise ValueError("errors must be nonnegative")
-        _freeze_temperature(self)
+        _check_record(self, ("e_axis", "q_axis"), "intensity")
 
 
-def make_grid(q_axis, e_axis, intensity, errors, temperature) -> SpectrumGrid:
-    """Validating constructor for :class:`SpectrumGrid`."""
-    return SpectrumGrid(q_axis, e_axis, intensity, errors, temperature)
+make_grid = SpectrumGrid
 
 
 @dataclass(frozen=True)
@@ -173,13 +188,4 @@ class EnergyCut:
     temperature: float
 
     def __post_init__(self):
-        _freeze(self, "e_axis", "values", "errors")
-        _require_strictly_increasing(self.e_axis, "e_axis")
-        for name in ("values", "errors"):
-            if getattr(self, name).shape != self.e_axis.shape:
-                raise ShapeMismatch(f"{name} shape does not match e_axis")
-        if np.any(np.isnan(self.values)):
-            raise ValueError("values contain NaN")
-        if np.any(self.errors < 0) or np.any(np.isnan(self.errors)):
-            raise ValueError("errors must be nonnegative")
-        _freeze_temperature(self)
+        _check_record(self, ("e_axis",), "values")

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fitter, specfun
-from .core import DEFAULT_UNITS, EnergyCut
+from .core import DEFAULT_UNITS, EnergyCut, _is_positive, _require_positive
 from .errors import BoseFactorPole, CutoffDomainError, NonPositiveTemperature
 
 __all__ = [
@@ -60,12 +60,7 @@ class StarykhParams:
     negative_log_policy: str = "strict"
 
     def __post_init__(self):
-        if not (self.a_starykh > 0):
-            raise ValueError("a_starykh must be positive")
-        if not (self.t0_kelvin > 0):
-            raise ValueError("t0_kelvin must be positive")
-        if not (self.j_over_kb > 0):
-            raise ValueError("j_over_kb must be positive")
+        _require_positive(self, "a_starykh", "t0_kelvin", "j_over_kb")
         if self.negative_log_policy not in POLICIES:
             raise ValueError(
                 f"negative_log_policy must be one of {POLICIES}, "
@@ -75,8 +70,8 @@ class StarykhParams:
 
 def _log_cutoff_ratio(t: float, params: StarykhParams) -> float:
     """ln(T0/T) under the active policy, validated against the 1/2 floor."""
-    if not (t > 0):
-        raise NonPositiveTemperature(f"temperature must be positive, got {t}")
+    if not _is_positive(t):
+        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {t}")
     log_ratio = math.log(params.t0_kelvin / t)
     if params.negative_log_policy == "absolute_value":
         log_ratio = abs(log_ratio)
@@ -156,8 +151,8 @@ def detailed_balance(omega, t: float) -> np.ndarray:
 
 def chi_imag_from_sqw(s_value, omega, t: float):
     """Fluctuation-dissipation conversion chi'' = (1 - exp(-omega/k_B T)) S."""
-    if not (t > 0):
-        raise NonPositiveTemperature(f"temperature must be positive, got {t}")
+    if not _is_positive(t):
+        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {t}")
     out = detailed_balance(omega, t) * np.asarray(s_value, dtype=float)
     return float(out) if out.ndim == 0 else out
 

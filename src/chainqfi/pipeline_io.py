@@ -22,7 +22,6 @@ import io
 import itertools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -30,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, fitter, spinon
-from .core import ChainParameters, EnergyCut, SpectrumGrid
+from .core import ChainParameters, EnergyCut, SpectrumGrid, _is_number, _is_positive
 from .dynamics import StarykhParams
 from .errors import (
     DuplicateAbscissa,
@@ -94,14 +93,6 @@ def write_csv_table(path, header: Sequence[str], *columns) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_positive(value) -> bool:
-    return _is_number(value) and value > 0
 
 
 # field -> (what it must be, check); every manifest field is checked
@@ -414,8 +405,8 @@ def subtract_elastic_line(
     bins to anchor the flat level. The fitted amplitude and constant are
     stored in ``record`` when a dict is supplied.
     """
-    if not (resolution_fwhm > 0):
-        raise ValueError("resolution_fwhm must be positive")
+    if not _is_positive(resolution_fwhm):
+        raise ValueError(f"resolution_fwhm must be a finite number > 0, got {resolution_fwhm}")
     e = cut.e_axis
     if not (e[0] <= 0.0 <= e[-1]):
         raise ElasticWindowMissing(
@@ -476,7 +467,9 @@ _RESOLUTION_FWHM = 0.0175
 class SynthConfig:
     """Settings of the synthetic dataset generator.
 
-    ``noise_level`` scales the counting noise (0 disables it). The
+    ``noise_level`` scales the counting noise (0 disables it) and
+    ``chi_noise_level`` the relative chi noise; both must be finite and
+    >= 0, and the elastic amplitude and flat background finite. The
     momentum envelope of the synthetic 1D signal is a pair of Gaussians
     (even in q) centered at the antiferromagnetic zone center pi/c. The
     counts scale, Q window, envelope width and resolution are module
@@ -498,6 +491,16 @@ class SynthConfig:
     chi_noise_level: float = 0.0
     elastic_amplitude: float = 0.0
     flat_background: float = 0.0
+
+    def __post_init__(self):
+        for name in ("noise_level", "chi_noise_level"):
+            value = getattr(self, name)
+            if not (_is_number(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        for name in ("elastic_amplitude", "flat_background"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 def generate_synthetic_dataset(
@@ -522,8 +525,8 @@ def generate_synthetic_dataset(
     if chain.lattice_c is None:
         raise ValueError("chain.lattice_c is required to place the zone center")
     for t in temperatures:
-        if not (t > 0):
-            raise ValueError(f"temperatures must be positive, got {t}")
+        if not _is_positive(t):
+            raise ValueError(f"temperatures must be finite numbers > 0, got {t}")
         dynamics.scaling_dimension(t, starykh)  # raises CutoffDomainError early
 
     outdir = Path(outdir)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .core import DEFAULT_UNITS, EnergyCut
+from .core import DEFAULT_UNITS, EnergyCut, _is_positive
 from .errors import GridTooCoarse, NegativeChiImagWarning, NonPositiveValue, TruncationWarning
 
 __all__ = ["QfiPoint", "ScalingFit", "qfi_integrand", "compute_qfi", "fit_scaling"]
@@ -57,8 +57,8 @@ class ScalingFit:
 
 def qfi_integrand(omega, t: float, chi_imag):
     """tanh(omega / 2 k_B T) * chi''; omega in meV, T in K."""
-    if not (t > 0):
-        raise ValueError(f"temperature must be positive, got {t}")
+    if not _is_positive(t):
+        raise ValueError(f"temperature must be a finite number > 0, got {t}")
     omega_arr = np.asarray(omega, dtype=float)
     kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
     out = np.tanh(omega_arr / (2.0 * kb * t)) * np.asarray(chi_imag, dtype=float)
@@ -170,16 +170,16 @@ def compute_qfi(
     error reached.
     ``omega_max`` (meV) is mandatory; pi*J is the conventional choice.
     """
-    if omega_max is None or not (omega_max > 0):
-        raise ValueError("omega_max (meV) must be positive")
+    if not _is_positive(omega_max):
+        raise ValueError(f"omega_max (meV) must be a finite number > 0, got {omega_max}")
     if isinstance(source, EnergyCut):
         if t is not None and abs(t - source.temperature) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(
                 f"explicit t = {t} disagrees with cut temperature {source.temperature}"
             )
         return _qfi_tabulated(source, omega_max)
-    if t is None or not (t > 0):
-        raise ValueError("model closures require a positive temperature t")
+    if not _is_positive(t):
+        raise ValueError(f"a model closure needs t a finite number > 0, got {t}")
     return _qfi_model(source, t, omega_max)
 
 
@@ -192,8 +192,8 @@ def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points for the scaling fit, got {len(points)}")
-    if not (z > 0):
-        raise ValueError(f"dynamic critical exponent z must be positive, got {z}")
+    if not _is_positive(z):
+        raise ValueError(f"dynamic critical exponent z must be a finite number > 0, got {z}")
     temps = np.array([p.temperature for p in points], dtype=float)
     values = np.array([p.f_q for p in points], dtype=float)
     if np.any(values <= 0):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fitter
 from .core import DEFAULT_UNITS, ChainParameters
-from .core import _freeze, _frozen_array, _require_strictly_increasing
+from .core import _freeze, _frozen_array, _is_positive, _require_strictly_increasing
 from .errors import NonPositiveTemperature, NoInteriorMaximum
 
 __all__ = [
@@ -201,8 +201,8 @@ def find_tmax_model(params: ChainParameters, step: float = 0.01) -> tuple[float,
 
 def j_from_tmax(t_max: float) -> float:
     """Exchange coupling J/k_B (K) from the susceptibility peak position."""
-    if not (t_max > 0):
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not _is_positive(t_max):
+        raise ValueError(f"t_max must be a finite number > 0, got {t_max}")
     return t_max / TMAX_OVER_J
 
 

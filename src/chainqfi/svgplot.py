@@ -5,12 +5,18 @@ depends only on the data and an optional timestamp comment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["Figure"]
+
+# Ranges are halved before they are subtracted or divided, so an axis whose
+# data span more than the float maximum still maps to finite pixels and
+# ticks. Halving a float is exact, so every other axis keeps its bytes.
+_FLOAT_MAX = sys.float_info.max
 
 
 def _fmt(x: float) -> str:
@@ -33,7 +39,7 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     spacing at the ticks would never advance ``v``."""
     if not (hi - lo > 1e-12 * max(abs(lo), abs(hi))):
         return [lo]
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi / 2 - lo / 2) / max(target, 2) * 2
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -42,7 +48,7 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     ticks = []
     v = math.ceil(lo / step) * step
     # step >= (hi - lo) / max(target, 2) leaves at most max(target, 2) + 1 ticks
-    while v <= hi + 1e-9 * step and len(ticks) <= max(target, 2) + 1:
+    while v <= min(hi + 1e-9 * step, _FLOAT_MAX) and len(ticks) <= max(target, 2) + 1:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks
@@ -70,12 +76,12 @@ class _Axis(NamedTuple):
             # 0.5, or more where 0.5 is below the float spacing at lo
             half = max(0.5, 1e-12 * abs(lo))
             lo, hi = lo - half, hi + half
-        pad *= hi - lo
-        return cls(lo - pad, hi + pad, a, b, log)
+        pad *= hi / 2 - lo / 2
+        return cls(max(lo - 2 * pad, -_FLOAT_MAX), min(hi + 2 * pad, _FLOAT_MAX), a, b, log)
 
     def at(self, t):
         """The pixel of ``t`` in axis units (log10 of the value on a log axis)."""
-        return self.a + (t - self.lo) / (self.hi - self.lo) * (self.b - self.a)
+        return self.a + (t / 2 - self.lo / 2) / (self.hi / 2 - self.lo / 2) * (self.b - self.a)
 
     def __call__(self, v):
         """The pixel of a value, or of each value of an array. ``math.log10``
@@ -340,6 +346,7 @@ class Figure:
             out.append(
                 f'<text x="{x1 - 134}" y="{ly}" font-size="11">{label}</text>'
             )
-        out.append("</svg>")
+        # the closing tag carries the final newline, so the text is built once
+        out.append("</svg>\n")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out) + "\n")
+            fh.write("\n".join(out))

@@ -1017,3 +1017,92 @@ def test_stamped_run_differs_only_in_the_svg_stamp(tmp_path, command):
     assert len(stamps) == 1
     stamp = re.fullmatch(rb"<!-- generated (\S+) -->", stamps.pop())
     assert datetime.fromisoformat(stamp[1].decode()).tzinfo is not None
+
+
+# argv (given the dataset that ``make_dataset`` wrote) -> the one error message;
+# each input is a number or scale out of range, refused before any output
+SCALAR_FAULTS = {
+    "qfi --a-starykh inf": (
+        lambda d: ["qfi", "--model", "--temps", "0.1,0.2", "--a-starykh", "inf"],
+        "a_starykh must be a finite number > 0, got inf",
+    ),
+    "qfi --t0-kelvin inf": (
+        lambda d: ["qfi", "--model", "--temps", "0.1,0.2", "--t0-kelvin", "inf"],
+        "t0_kelvin must be a finite number > 0, got inf",
+    ),
+    "qfi --z -1": (
+        lambda d: ["qfi", "--model", "--temps", "0.1,0.2", "--z", "-1"],
+        "--z must be a finite number > 0, got -1.0",
+    ),
+    "qfi --z inf": (
+        lambda d: ["qfi", "--model", "--temps", "0.1,0.2,0.3", "--z", "inf"],
+        "--z must be a finite number > 0, got inf",
+    ),
+    "qfi --omega-max inf": (
+        lambda d: ["qfi", "--model", "--temps", "0.1,0.2", "--omega-max", "inf"],
+        "--omega-max must be a finite number > 0, got inf",
+    ),
+    "qfi --data --omega-max 0": (
+        lambda d: ["qfi", "--data", d["spectra"][0]["manifest"], "--omega-max", "0"],
+        "--omega-max must be a finite number > 0, got 0.0",
+    ),
+    "qfi --j-kelvin inf": (
+        lambda d: ["qfi", "--model", "--j-kelvin", "inf"],
+        "--j-kelvin must be a finite number > 0, got inf",
+    ),
+    "qfi --data --temps": (
+        lambda d: ["qfi", "--data", d["spectra"][0]["manifest"], "--temps", "9,9"],
+        "--temps is for qfi --model; qfi --data reads each temperature from its manifest",
+    ),
+    "spinon --j-kelvin inf": (
+        lambda d: ["spinon", "--data", d["spectra"][0]["manifest"], "--j-kelvin", "inf"],
+        "--j-kelvin must be a finite number > 0, got inf",
+    ),
+    "witness --g inf": (
+        lambda d: ["witness", d["chi_csv"], "--g", "inf"],
+        "g_factor must be a finite number > 0, got inf",
+    ),
+    "synth --g inf": (
+        lambda d: ["synth", "--temps", "0.2", "--g", "inf"],
+        "g_factor must be a finite number > 0, got inf",
+    ),
+    "synth --lattice-c inf": (
+        lambda d: ["synth", "--temps", "0.2", "--lattice-c", "inf"],
+        "lattice_c must be a finite number > 0, got inf",
+    ),
+    "synth --noise -1": (
+        lambda d: ["synth", "--temps", "0.2", "--noise", "-1"],
+        "noise_level must be a finite number >= 0, got -1.0",
+    ),
+    "synth --noise inf": (
+        lambda d: ["synth", "--temps", "0.2", "--noise", "inf"],
+        "noise_level must be a finite number >= 0, got inf",
+    ),
+    "synth --chi-noise nan": (
+        lambda d: ["synth", "--temps", "0.2", "--chi-noise", "nan"],
+        "chi_noise_level must be a finite number >= 0, got nan",
+    ),
+    "synth --elastic-amp inf": (
+        lambda d: ["synth", "--temps", "0.2", "--elastic-amp", "inf"],
+        "elastic_amplitude must be a finite number, got inf",
+    ),
+    "synth --flat-bg -inf": (
+        lambda d: ["synth", "--temps", "0.2", "--flat-bg=-inf"],
+        "flat_background must be a finite number, got -inf",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    return make_dataset(tmp_path_factory.mktemp("data"), temps=(0.5,))
+
+
+@pytest.mark.parametrize("case", list(SCALAR_FAULTS))
+def test_scalar_out_of_range_exits_2_before_any_output(small_dataset, tmp_path, capsys, case):
+    argv, message = SCALAR_FAULTS[case]
+    out = tmp_path / "o"
+    assert main([*argv(small_dataset), "--out", str(out)]) == 2
+    # no "warnings" key: the refusal comes before any computation could warn
+    assert single_error(capsys) == {"error": "ValueError", "message": message}
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from chainqfi.core import (
     DEFAULT_UNITS,
     ChainParameters,
     EnergyCut,
+    _is_positive,
     kelvin_to_mev,
     make_grid,
     mev_to_kelvin,
 )
+from chainqfi.dynamics import StarykhParams
 from chainqfi.errors import AxisNotMonotone, NonPositiveTemperature, ShapeMismatch
 
 
@@ -119,3 +122,29 @@ class TestEnergyCut:
     def test_negative_errors_rejected(self):
         with pytest.raises(ValueError):
             EnergyCut([0.1, 0.2], [1.0, 2.0], [-0.1, 0.0], 0.5)
+
+
+@pytest.mark.parametrize(
+    "value, positive",
+    [(1, True), (2.5, True), (np.float64(5e-324), True), (0, False), (-1.0, False),
+     (math.nan, False), (math.inf, False), (True, False), ("1", False), (None, False)],
+)
+def test_positive_scalar_rule(value, positive):
+    assert _is_positive(value) == positive
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("j_over_kb", lambda v: ChainParameters(j_over_kb=v, g_factor=2.0)),
+        ("g_factor", lambda v: ChainParameters(j_over_kb=3.1, g_factor=v)),
+        ("lattice_c", lambda v: ChainParameters(j_over_kb=3.1, g_factor=2.0, lattice_c=v)),
+        ("a_starykh", lambda v: StarykhParams(a_starykh=v, t0_kelvin=1.2, j_over_kb=3.1)),
+        ("t0_kelvin", lambda v: StarykhParams(a_starykh=1e-3, t0_kelvin=v, j_over_kb=3.1)),
+        ("j_over_kb", lambda v: StarykhParams(a_starykh=1e-3, t0_kelvin=1.2, j_over_kb=v)),
+    ],
+)
+def test_model_parameter_names_itself(field, make, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number > 0, got {value}$"):
+        make(value)

@@ -2,9 +2,11 @@
 against the per-cell and per-point loops they replaced, byte for byte."""
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -403,9 +405,8 @@ def test_nice_ticks_count_is_bounded(target):
         assert ticks == sorted(ticks) and lo <= ticks[0] and ticks[-1] <= hi + 1e-6 * (hi - lo)
 
 
-# Above about 1e307 a log axis's tick labels overflow; the bound keeps the
-# property to the values a figure can place.
-FINITE = st.floats(min_value=-1e300, max_value=1e300)
+# every finite float, subnormals and the float maximum included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -437,7 +438,9 @@ def test_render_returns_for_any_finite_series(tmp_path_factory, xs, ys, axes):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    assert path.read_bytes().endswith(b"</svg>\n")
+    svg = path.read_bytes()
+    assert svg.endswith(b"</svg>\n")
+    assert b"nan" not in svg and b"inf" not in svg
 
 
 @pytest.mark.parametrize(
@@ -462,3 +465,22 @@ def test_narrow_log_axis_at_the_float_maximum_renders(tmp_path, axes, x, y, labe
 @pytest.mark.parametrize("v", [-12.3, -0.5, 0.0, 0.2, 1.4, 7.6, 300.2, 308.2])
 def test_power_of_ten_label_where_it_is_finite(v):
     assert svgplot._fmt_pow10(v) == _fmt(10**v)
+
+
+@pytest.mark.parametrize(
+    "ys", [[-9.12e307, 9.12e307], [-sys.float_info.max, sys.float_info.max]],
+    ids=["9.12e307", "float max"],
+)
+def test_linear_axis_wider_than_the_float_maximum(tmp_path, ys):
+    # the data span more than the float maximum, the padded range too
+    fig = Figure()
+    fig.points([1.0, 2.0], ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fig.render(tmp_path / "fig.svg")
+    svg = (tmp_path / "fig.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    low, high = (float(cy) for cy in re.findall(r'cy="([^"]+)"', svg))
+    assert Figure.margin_top <= high < low <= Figure.height - Figure.margin_bottom
+    labels = re.findall(r'text-anchor="end">([^<]+)<', svg)
+    assert "0" in labels and all(math.isfinite(float(v)) for v in labels)

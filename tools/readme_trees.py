@@ -8,11 +8,13 @@ PYTHONPATH, and each command runs as ``python -m chainqfi.cli`` in a fresh
 process inside a temporary directory. A tree's digest equals
 ``LC_ALL=C find . -type f | sort | xargs sha256sum | sha256sum`` run in that
 tree. The exit status is 1 when any command fails or writes anything to
-stderr (a warning, say), after that stderr is shown.
+stderr (a warning, say), after that stderr is shown, or when any ``.json``
+file of a tree holds ``NaN`` or ``Infinity``, which are not JSON numbers.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +49,21 @@ def tree_digest(root: Path) -> str:
     return hashlib.sha256(listing).hexdigest()
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"holds {name}, which is not a JSON number")
+
+
+def first_json_fault(root: Path) -> str | None:
+    """The first fault of a ``.json`` file under ``root`` that is not strict
+    JSON, as ``path: reason``; None when every one parses."""
+    for path in sorted(root.rglob("*.json")):
+        try:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        except ValueError as exc:
+            return f"{path.relative_to(root)}: {exc}"
+    return None
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src").resolve()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -60,7 +77,12 @@ def main(argv: list[str]) -> int:
             if run.returncode != 0 or run.stderr:
                 print(f"{tree}: exit {run.returncode}\n{run.stderr}", file=sys.stderr)
                 return 1
-            print(f"{tree_digest(Path(tmp) / args[args.index('--out') + 1])}  {tree}")
+            root = Path(tmp) / args[args.index("--out") + 1]
+            fault = first_json_fault(root)
+            if fault:
+                print(f"{tree}: {fault}", file=sys.stderr)
+                return 1
+            print(f"{tree_digest(root)}  {tree}")
     return 0
 
 
