@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, pipeline_io, qfi, spinon, suscept
-from .core import ChainParameters, SpectrumGrid, _is_positive, kelvin_to_mev
+from .core import ChainParameters, SpectrumGrid, _is_positive, _positive, kelvin_to_mev
 from .dynamics import StarykhParams
 from .errors import ChainQfiError, FitDiverged, NoInteriorMaximum
 from .svgplot import Figure
@@ -64,8 +64,8 @@ def _require_positive_flags(args, *flags: str) -> None:
     """Refuse each of ``flags`` that is set but not a finite number > 0."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and not _is_positive(value):
-            raise ValueError(f"{flag} must be a finite number > 0, got {value}")
+        if value is not None:
+            _positive(value, flag)
 
 
 def _policy_from_flag(flag: str) -> str:

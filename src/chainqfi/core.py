@@ -81,12 +81,34 @@ def _is_positive(value) -> bool:
     return _is_number(value) and value > 0
 
 
+def _positive(value, name: str):
+    """``value`` itself if it is a finite number > 0, else a ValueError naming ``name``."""
+    if not _is_positive(value):
+        raise ValueError(f"{name} must be a finite number > 0, got {value}")
+    return value
+
+
+def _temperature(t):
+    """``t`` itself if it is a finite number > 0, else NonPositiveTemperature."""
+    if not _is_positive(t):
+        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {t}")
+    return t
+
+
+def _temperatures(t) -> np.ndarray:
+    """``t`` as a float array if every entry is a finite number > 0, else
+    NonPositiveTemperature naming the first entry that is not."""
+    arr = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr > 0))
+    if bad.any():
+        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {arr[bad][0]}")
+    return arr
+
+
 def _require_positive(obj, *names) -> None:
     """Raise ValueError naming the first of the fields ``names`` not a finite number > 0."""
     for name in names:
-        value = getattr(obj, name)
-        if not _is_positive(value):
-            raise ValueError(f"{name} must be a finite number > 0, got {value}")
+        _positive(getattr(obj, name), name)
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -124,9 +146,7 @@ def _check_record(obj, axes: tuple[str, ...], values: str) -> None:
         raise ValueError(f"{values} must not contain NaN")
     if np.any(obj.errors < 0) or np.any(np.isnan(obj.errors)):
         raise ValueError("errors must be nonnegative")
-    if not _is_positive(t := obj.temperature):
-        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {t}")
-    object.__setattr__(obj, "temperature", float(t))
+    object.__setattr__(obj, "temperature", float(_temperature(obj.temperature)))
 
 
 @dataclass(frozen=True)
@@ -151,8 +171,10 @@ class ChainParameters:
         _require_positive(self, "j_over_kb", "g_factor")
         if self.spin != 0.5:
             raise ValueError("only spin 1/2 is supported")
-        if self.c1 > 0:
-            raise ValueError("c1 is a diamagnetic constant and must be <= 0")
+        if not _is_number(self.c0):
+            raise ValueError(f"c0 must be a finite number, got {self.c0}")
+        if not (_is_number(self.c1) and self.c1 <= 0):
+            raise ValueError(f"c1 must be a finite number <= 0, got {self.c1}")
         if self.lattice_c is not None:
             _require_positive(self, "lattice_c")
 

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import fitter, specfun
-from .core import DEFAULT_UNITS, EnergyCut, _is_positive, _require_positive
-from .errors import BoseFactorPole, CutoffDomainError, NonPositiveTemperature
+from .core import DEFAULT_UNITS, EnergyCut, _require_positive, _temperature, _temperatures
+from .errors import BoseFactorPole, CutoffDomainError
 
 __all__ = [
     "POLICIES",
@@ -70,9 +70,7 @@ class StarykhParams:
 
 def _log_cutoff_ratio(t: float, params: StarykhParams) -> float:
     """ln(T0/T) under the active policy, validated against the 1/2 floor."""
-    if not _is_positive(t):
-        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {t}")
-    log_ratio = math.log(params.t0_kelvin / t)
+    log_ratio = math.log(params.t0_kelvin / _temperature(t))
     if params.negative_log_policy == "absolute_value":
         log_ratio = abs(log_ratio)
     if log_ratio <= _MIN_LOG:
@@ -151,9 +149,7 @@ def detailed_balance(omega, t: float) -> np.ndarray:
 
 def chi_imag_from_sqw(s_value, omega, t: float):
     """Fluctuation-dissipation conversion chi'' = (1 - exp(-omega/k_B T)) S."""
-    if not _is_positive(t):
-        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {t}")
-    out = detailed_balance(omega, t) * np.asarray(s_value, dtype=float)
+    out = detailed_balance(omega, _temperature(t)) * np.asarray(s_value, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -168,9 +164,9 @@ def t0_feasible_interval(
     component containing ``t0_initial``. Raises CutoffDomainError when the
     initial cutoff itself is infeasible.
     """
-    temps = sorted(float(t) for t in temperatures)
-    if not temps or temps[0] <= 0:
-        raise NonPositiveTemperature("temperatures must be positive")
+    temps = sorted(_temperatures(temperatures).tolist())
+    if not temps:
+        raise ValueError("need at least one temperature")
     if policy == "strict":
         lo = temps[-1] * math.exp(_MIN_LOG)
         if t0_initial <= lo:

@@ -22,7 +22,7 @@ class ShapeMismatch(ChainQfiError):
     pass
 
 
-class NonPositiveTemperature(ChainQfiError):
+class NonPositiveTemperature(ChainQfiError, ValueError):
     pass
 
 

@@ -59,7 +59,7 @@ class FitResult:
     iterations: int
     converged: bool
     frozen_mask: dict[str, bool]
-    message: str = ""
+    message: str
 
 
 def sigma_weights(sigma) -> np.ndarray:

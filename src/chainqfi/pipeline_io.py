@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, fitter, spinon
-from .core import ChainParameters, EnergyCut, SpectrumGrid, _is_number, _is_positive
+from .core import ChainParameters, EnergyCut, SpectrumGrid, _is_number, _is_positive, _positive
 from .dynamics import StarykhParams
 from .errors import (
     DuplicateAbscissa,
@@ -405,8 +405,7 @@ def subtract_elastic_line(
     bins to anchor the flat level. The fitted amplitude and constant are
     stored in ``record`` when a dict is supplied.
     """
-    if not _is_positive(resolution_fwhm):
-        raise ValueError(f"resolution_fwhm must be a finite number > 0, got {resolution_fwhm}")
+    _positive(resolution_fwhm, "resolution_fwhm")
     e = cut.e_axis
     if not (e[0] <= 0.0 <= e[-1]):
         raise ElasticWindowMissing(
@@ -525,9 +524,7 @@ def generate_synthetic_dataset(
     if chain.lattice_c is None:
         raise ValueError("chain.lattice_c is required to place the zone center")
     for t in temperatures:
-        if not _is_positive(t):
-            raise ValueError(f"temperatures must be finite numbers > 0, got {t}")
-        dynamics.scaling_dimension(t, starykh)  # raises CutoffDomainError early
+        dynamics.scaling_dimension(t, starykh)  # refuses a bad or near-cutoff temperature early
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .core import DEFAULT_UNITS, EnergyCut, _is_positive
+from .core import DEFAULT_UNITS, EnergyCut, _positive, _temperature
 from .errors import GridTooCoarse, NegativeChiImagWarning, NonPositiveValue, TruncationWarning
 
 __all__ = ["QfiPoint", "ScalingFit", "qfi_integrand", "compute_qfi", "fit_scaling"]
@@ -57,11 +57,9 @@ class ScalingFit:
 
 def qfi_integrand(omega, t: float, chi_imag):
     """tanh(omega / 2 k_B T) * chi''; omega in meV, T in K."""
-    if not _is_positive(t):
-        raise ValueError(f"temperature must be a finite number > 0, got {t}")
     omega_arr = np.asarray(omega, dtype=float)
     kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
-    out = np.tanh(omega_arr / (2.0 * kb * t)) * np.asarray(chi_imag, dtype=float)
+    out = np.tanh(omega_arr / (2.0 * kb * _temperature(t))) * np.asarray(chi_imag, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -170,17 +168,14 @@ def compute_qfi(
     error reached.
     ``omega_max`` (meV) is mandatory; pi*J is the conventional choice.
     """
-    if not _is_positive(omega_max):
-        raise ValueError(f"omega_max (meV) must be a finite number > 0, got {omega_max}")
+    _positive(omega_max, "omega_max (meV)")
     if isinstance(source, EnergyCut):
         if t is not None and abs(t - source.temperature) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(
                 f"explicit t = {t} disagrees with cut temperature {source.temperature}"
             )
         return _qfi_tabulated(source, omega_max)
-    if not _is_positive(t):
-        raise ValueError(f"a model closure needs t a finite number > 0, got {t}")
-    return _qfi_model(source, t, omega_max)
+    return _qfi_model(source, _temperature(t), omega_max)
 
 
 def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
@@ -192,8 +187,7 @@ def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points for the scaling fit, got {len(points)}")
-    if not _is_positive(z):
-        raise ValueError(f"dynamic critical exponent z must be a finite number > 0, got {z}")
+    _positive(z, "dynamic critical exponent z")
     temps = np.array([p.temperature for p in points], dtype=float)
     values = np.array([p.f_q for p in points], dtype=float)
     if np.any(values <= 0):

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_UNITS, _is_positive
-from .errors import DomainError, NonPositiveTemperature, PoleAtNonPositiveInteger
+from .core import DEFAULT_UNITS, _temperature
+from .errors import DomainError, PoleAtNonPositiveInteger
 
 __all__ = ["log_gamma_complex", "gamma_ratio_im"]
 
@@ -89,8 +89,7 @@ def gamma_ratio_im(delta: float, omega, temperature: float):
     """
     if not (0.0 < delta < 0.5):
         raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
-    if not _is_positive(temperature):
-        raise NonPositiveTemperature(f"temperature must be a finite number > 0, got {temperature}")
+    _temperature(temperature)
     omega_arr = np.asarray(omega, dtype=float)
     # 1-d throughout: numpy scalar arithmetic rounds some complex operations
     # differently from the array loops, and a scalar call must equal the

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .core import SpectrumGrid, _freeze, _is_positive
+from .core import SpectrumGrid, _freeze, _positive
 from .errors import GridTooCoarse
 
 __all__ = [
@@ -55,10 +55,8 @@ def two_spinon_bounds(q_1d, j_mev: float, c: float):
     periodic in q c with period 2 pi; the upper bound reaches pi J at
     q c = pi.
     """
-    if not _is_positive(j_mev):
-        raise ValueError(f"j_mev must be a finite number > 0, got {j_mev}")
-    if not _is_positive(c):
-        raise ValueError(f"lattice parameter c must be a finite number > 0, got {c}")
+    _positive(j_mev, "j_mev")
+    _positive(c, "lattice parameter c")
     qc = np.asarray(q_1d, dtype=float) * c
     lower = 0.5 * math.pi * j_mev * np.abs(np.sin(qc))
     upper = math.pi * j_mev * np.abs(np.sin(0.5 * qc))

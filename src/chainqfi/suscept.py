@@ -15,8 +15,8 @@ import numpy as np
 
 from . import fitter
 from .core import DEFAULT_UNITS, ChainParameters
-from .core import _freeze, _frozen_array, _is_positive, _require_strictly_increasing
-from .errors import NonPositiveTemperature, NoInteriorMaximum
+from .core import _freeze, _frozen_array, _positive, _require_strictly_increasing, _temperatures
+from .errors import NoInteriorMaximum
 
 __all__ = [
     "SusceptibilityCurve",
@@ -58,8 +58,7 @@ class SusceptibilityCurve:
         _freeze(self, "temperatures", "chi", "sigma")
         t = self.temperatures
         _require_strictly_increasing(t, "temperatures")
-        if np.any(t <= 0):
-            raise NonPositiveTemperature("curve temperatures must be positive")
+        _temperatures(t)
         if self.chi.shape != t.shape or self.sigma.shape != t.shape:
             raise ValueError("temperatures, chi, sigma must have equal length")
         if np.any(self.sigma < 0):
@@ -85,17 +84,14 @@ def _pade(x):
     return (a0 + x * (a1 + x * a2)) / (b0 + x * (b1 + x * (b2 + x * b3)))
 
 
-def _as_temperature_array(t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise NonPositiveTemperature("temperature must be positive and finite")
-    return arr
+def _molar_moment_squared(g_factor):
+    """N_A (g mu_B)^2, the numerator of the Curie constant."""
+    u = DEFAULT_UNITS
+    return u.avogadro * (g_factor * u.bohr_magneton) ** 2
 
 
 def _chain(t, j_over_kb, g_factor):
-    u = DEFAULT_UNITS
-    moment = g_factor * u.bohr_magneton
-    curie = u.avogadro * moment**2 / (u.boltzmann_erg_per_kelvin * t)
+    curie = _molar_moment_squared(g_factor) / (DEFAULT_UNITS.boltzmann_erg_per_kelvin * t)
     return curie * _pade(j_over_kb / t)
 
 
@@ -111,7 +107,7 @@ def chi_bonner_fisher(t, params: ChainParameters):
     Positive everywhere, Curie-like at high temperature, with a single
     maximum at T = 0.640851 J/k_B.
     """
-    out = _chain(_as_temperature_array(t), params.j_over_kb, params.g_factor)
+    out = _chain(_temperatures(t), params.j_over_kb, params.g_factor)
     return float(out) if out.ndim == 0 else out
 
 
@@ -122,7 +118,7 @@ def chi_full(t, params: ChainParameters, impurity_curie: bool = False):
     literal constant ``c0``; with True it is read as a Curie coefficient
     and contributes ``c0 / t`` (c0 then in emu K/mole).
     """
-    out = _chain_full(_as_temperature_array(t), vars(params), impurity_curie)
+    out = _chain_full(_temperatures(t), vars(params), impurity_curie)
     return float(out) if out.ndim == 0 else out
 
 
@@ -201,9 +197,7 @@ def find_tmax_model(params: ChainParameters, step: float = 0.01) -> tuple[float,
 
 def j_from_tmax(t_max: float) -> float:
     """Exchange coupling J/k_B (K) from the susceptibility peak position."""
-    if not _is_positive(t_max):
-        raise ValueError(f"t_max must be a finite number > 0, got {t_max}")
-    return t_max / TMAX_OVER_J
+    return _positive(t_max, "t_max") / TMAX_OVER_J
 
 
 def witness_mwse(curve: SusceptibilityCurve, params: ChainParameters) -> WitnessSeries:
@@ -215,9 +209,8 @@ def witness_mwse(curve: SusceptibilityCurve, params: ChainParameters) -> Witness
     nonnegative values.
     """
     t = curve.temperatures
-    u = DEFAULT_UNITS
-    denom = (params.g_factor * u.bohr_magneton) ** 2 * u.avogadro * params.spin
-    mw = 3.0 * u.boltzmann_erg_per_kelvin * t * curve.chi / denom - 1.0
+    denom = _molar_moment_squared(params.g_factor) * params.spin
+    mw = 3.0 * DEFAULT_UNITS.boltzmann_erg_per_kelvin * t * curve.chi / denom - 1.0
 
     t_se = None
     for i in range(mw.size - 1):

@@ -1090,6 +1090,18 @@ SCALAR_FAULTS = {
         lambda d: ["synth", "--temps", "0.2", "--flat-bg=-inf"],
         "flat_background must be a finite number, got -inf",
     ),
+    "synth --c0 inf": (
+        lambda d: ["synth", "--temps", "0.2", "--c0", "inf"],
+        "c0 must be a finite number, got inf",
+    ),
+    "synth --c1 nan": (
+        lambda d: ["synth", "--temps", "0.2", "--c1", "nan"],
+        "c1 must be a finite number <= 0, got nan",
+    ),
+    "fit-susceptibility --c00 inf": (
+        lambda d: ["fit-susceptibility", d["chi_csv"], "--c00", "inf"],
+        "c0 must be a finite number, got inf",
+    ),
 }
 
 

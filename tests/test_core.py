@@ -1,10 +1,13 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import chainqfi
+from chainqfi import suscept
 from chainqfi.core import (
     DEFAULT_UNITS,
     ChainParameters,
@@ -14,8 +17,17 @@ from chainqfi.core import (
     make_grid,
     mev_to_kelvin,
 )
-from chainqfi.dynamics import StarykhParams
+from chainqfi.dynamics import (
+    StarykhParams,
+    chi_imag_from_sqw,
+    chi_imag_starykh,
+    scaling_dimension,
+    sqw_starykh,
+    t0_feasible_interval,
+)
 from chainqfi.errors import AxisNotMonotone, NonPositiveTemperature, ShapeMismatch
+from chainqfi.qfi import compute_qfi, qfi_integrand
+from chainqfi.specfun import gamma_ratio_im
 
 
 class TestConversions:
@@ -148,3 +160,49 @@ def test_positive_scalar_rule(value, positive):
 def test_model_parameter_names_itself(field, make, value):
     with pytest.raises(ValueError, match=f"^{field} must be a finite number > 0, got {value}$"):
         make(value)
+
+
+STARYKH = StarykhParams(a_starykh=1e-3, t0_kelvin=1.2, j_over_kb=3.1)
+CHAIN = ChainParameters(j_over_kb=3.1, g_factor=2.0)
+
+# every library entry that takes a temperature, called with the temperature t
+TEMPERATURE_ENTRIES = {
+    "chi_imag_starykh": lambda t: chi_imag_starykh(0.1, t, STARYKH),
+    "sqw_starykh": lambda t: sqw_starykh(0.1, t, STARYKH),
+    "scaling_dimension": lambda t: scaling_dimension(t, STARYKH),
+    "chi_imag_from_sqw": lambda t: chi_imag_from_sqw(1.0, 0.1, t),
+    "gamma_ratio_im": lambda t: gamma_ratio_im(0.2, 0.1, t),
+    "qfi_integrand": lambda t: qfi_integrand(0.1, t, 1.0),
+    "compute_qfi with a closure": lambda t: compute_qfi(lambda w: w, t, omega_max=1.0),
+    "EnergyCut": lambda t: EnergyCut([0.1, 0.2], [1.0, 2.0], [0.0, 0.0], t),
+    "SpectrumGrid": lambda t: make_grid([0.1, 0.2], [0.3], [[1.0, 2.0]], [[0.0, 0.0]], t),
+    "chi_bonner_fisher": lambda t: suscept.chi_bonner_fisher([0.5, t], CHAIN),
+    "chi_full": lambda t: suscept.chi_full(t, CHAIN),
+    "SusceptibilityCurve": lambda t: suscept.SusceptibilityCurve([t], [1e-2], [0.0]),
+    "t0_feasible_interval": lambda t: t0_feasible_interval([0.5, t], "strict", 1e3),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", list(TEMPERATURE_ENTRIES))
+def test_every_temperature_refusal_is_one_error(entry, t):
+    with pytest.raises(NonPositiveTemperature) as info:
+        TEMPERATURE_ENTRIES[entry](t)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == f"temperature must be a finite number > 0, got {t}"
+
+
+def test_only_core_states_the_positive_rule():
+    """core raises every positive-scalar and temperature refusal; the one
+    other line with the wording is the --temps message, which gives the
+    entry's position."""
+    lines = {
+        path.name: [line.strip() for line in path.read_text().splitlines()
+                    if "must be a finite number > 0" in line]
+        for path in sorted(Path(chainqfi.__file__).parent.glob("*.py"))
+    }
+    assert len(lines.pop("core.py")) == 3
+    assert {name: found for name, found in lines.items() if found} == {
+        "cli.py": ['raise ValueError(f"--temps entry {k} ({token!r}) must be a finite number > 0")']
+    }
+    assert not hasattr(suscept, "_as_temperature_array")
