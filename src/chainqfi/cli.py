@@ -6,9 +6,8 @@ figures, so the SVGs are never the only record. Each ``cmd_*`` reads,
 validates, fits and integrates, then returns its reports, tables and
 figures as ``{file name: content}``; ``main`` alone creates --out and
 writes them, with one timestamp for every SVG, and only after the command
-has returned, so a failing command leaves no output files. ``synth``
-returns nothing: the generator writes its dataset itself. Exit codes: 0
-success, 2 input or configuration error, 3 numerical failure, 4
+has returned, so a failing command leaves no output files. Exit codes:
+0 success, 2 input or configuration error, 3 numerical failure, 4
 domain-policy error; errors are emitted as JSON on stderr.
 """
 from __future__ import annotations
@@ -20,12 +19,11 @@ import sys
 import warnings
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, pipeline_io, qfi, spinon, suscept
-from .core import ChainParameters, SpectrumGrid, _is_positive, _positive, kelvin_to_mev
+from .core import ChainParameters, _is_positive, _positive, kelvin_to_mev
 from .dynamics import StarykhParams
 from .errors import ChainQfiError, FitDiverged, NoInteriorMaximum
 from .svgplot import Figure
@@ -150,7 +148,8 @@ def cmd_fit_susceptibility(args) -> dict:
 
 def cmd_witness(args) -> dict:
     curve = pipeline_io.read_susceptibility_csv(args.chi_csv)
-    params = ChainParameters(j_over_kb=args.j_kelvin, g_factor=args.g)
+    # witness_mwse reads only g and the spin; J is a placeholder
+    params = ChainParameters(j_over_kb=1.0, g_factor=args.g)
     series = suscept.witness_mwse(curve, params)
     report = {
         "t_se_K": series.t_se,
@@ -165,7 +164,9 @@ def cmd_witness(args) -> dict:
         fig.vline(series.t_se, color="#d62728", label=f"T_SE = {series.t_se:.4g} K")
 
     return {
-        "witness.csv": (["T_K", "MW_SE"], series.temperatures, series.mw_se),
+        "witness.csv": pipeline_io.csv_table_text(
+            ["T_K", "MW_SE"], series.temperatures, series.mw_se
+        ),
         "witness_report.json": report,
         "witness.svg": fig,
     }
@@ -290,7 +291,7 @@ def cmd_qfi(args) -> dict:
     fit_report = {"fit_report.json": report["starykh_fit"]} if args.data else {}
     return {
         **fit_report,
-        "qfi_points.csv": (
+        "qfi_points.csv": pipeline_io.csv_table_text(
             ["T_K", "F_Q", "err"], temps, values, [p.quadrature_error_estimate for p in points]
         ),
         "qfi_report.json": report,
@@ -344,7 +345,7 @@ def cmd_spinon(args) -> dict:
     return {"s1d.csv": converted, "spinon_report.json": report, "spinon_overlay.svg": fig}
 
 
-def cmd_synth(args) -> None:
+def cmd_synth(args) -> dict:
     temps = _parse_temps(args.temps)
     policy = _policy_from_flag(args.policy or "strict")
     chain = ChainParameters(
@@ -363,10 +364,7 @@ def cmd_synth(args) -> None:
         elastic_amplitude=args.elastic_amp,
         flat_background=args.flat_bg,
     )
-    written = pipeline_io.generate_synthetic_dataset(
-        chain, starykh, temps, args.out, config=config
-    )
-    print(json.dumps(written, indent=2, sort_keys=True))
+    return pipeline_io.synthetic_dataset(chain, starykh, temps, config)
 
 
 # ----------------------------------------------------------------------
@@ -431,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fit_susceptibility)
 
-    p = sub.add_parser(
-        "witness", parents=[common, j_kelvin], help="entanglement witness from chi(T)"
-    )
+    p = sub.add_parser("witness", parents=[common], help="entanglement witness from chi(T)")
     p.add_argument("chi_csv", help="input chi.csv")
     p.add_argument("--g", type=float, required=True, help="Lande g factor")
     p.set_defaults(func=cmd_witness)
@@ -484,23 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(outputs: dict, outdir: Path, stamp: str | None) -> None:
-    """Create ``outdir`` and write each ``{file name: content}`` entry into it,
-    in order: a dict as JSON, a ``(header, *columns)`` tuple as a CSV table, a
-    SpectrumGrid as a spectrum CSV, a Figure as SVG stamped with ``stamp``."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in outputs.items():
-        path = outdir / name
-        if isinstance(content, Figure):
-            content.render(path, timestamp=stamp)
-        elif isinstance(content, SpectrumGrid):
-            pipeline_io.write_spectrum_csv(path, content)
-        elif isinstance(content, tuple):
-            pipeline_io.write_csv_table(path, *content)
-        else:
-            pipeline_io.write_json(path, content)
-
-
 def main(argv=None) -> int:
     """Run one command, then write what it returned; a command that raises
     writes nothing. Warnings are held back: on success they are re-issued as
@@ -512,7 +491,7 @@ def main(argv=None) -> int:
             outputs = args.func(args)
             if outputs:
                 stamp = None if args.deterministic else datetime.now(timezone.utc).isoformat()
-                _write(outputs, Path(args.out), stamp)
+                pipeline_io.write_outputs(args.out, outputs, stamp)
         except ChainQfiError as exc:
             return_code, error = exc.exit_code, exc
         except (OSError, ValueError) as exc:

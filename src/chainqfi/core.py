@@ -73,6 +73,9 @@ def mev_to_kelvin(e):
 
 
 def _is_number(value) -> bool:
+    """A finite real number, not a bool; a 0-d array stands for its one value."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 

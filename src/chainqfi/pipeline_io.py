@@ -1,5 +1,5 @@
-"""Data ingestion, reduction steps, synthetic-data generation, and run
-manifests.
+"""Data ingestion, reduction steps, synthetic-data generation, run
+manifests, and ``write_outputs``, the one writer of every command's files.
 
 File formats (UTF-8 CSV, decimal point, no thousands separators):
 
@@ -40,6 +40,7 @@ from .errors import (
     WindowOutsideGrid,
 )
 from .suscept import SusceptibilityCurve, chi_full
+from .svgplot import Figure
 
 __all__ = [
     "DatasetManifest",
@@ -49,7 +50,8 @@ __all__ = [
     "sha256_of",
     "file_record",
     "write_json",
-    "write_csv_table",
+    "csv_table_text",
+    "write_outputs",
     "read_susceptibility_csv",
     "write_susceptibility_csv",
     "read_spectrum_csv",
@@ -58,6 +60,7 @@ __all__ = [
     "subtract_elastic_line",
     "apply_fluctuation_dissipation",
     "SynthConfig",
+    "synthetic_dataset",
     "generate_synthetic_dataset",
 ]
 
@@ -79,20 +82,39 @@ def file_record(path, name) -> dict:
     return {"path": str(name), "sha256": sha256_of(path)}
 
 
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_json(path, payload) -> None:
     """``payload`` as JSON with sorted keys, 2-space indent and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv_table(path, header: Sequence[str], *columns) -> None:
+def csv_table_text(header: Sequence[str], *columns) -> str:
     """A header line, then one row per index of the equal-length
     ``columns``, each value as the shortest ``repr`` of its float."""
     rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return "".join([",".join(header) + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
+
+
+def write_outputs(outdir, outputs: dict, stamp: str | None) -> None:
+    """Create ``outdir`` and write each ``{file name: content}`` entry into it,
+    in order: text as it is, a dict as JSON, a SpectrumGrid as a spectrum
+    CSV, a Figure as SVG stamped with ``stamp``."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in outputs.items():
+        path = outdir / name
+        if isinstance(content, Figure):
+            content.render(path, timestamp=stamp)
+        elif isinstance(content, SpectrumGrid):
+            write_spectrum_csv(path, content)
+        elif isinstance(content, str):
+            _write_text(path, content)
+        else:
+            write_json(path, content)
 
 
 # field -> (what it must be, check); every manifest field is checked
@@ -303,7 +325,7 @@ def read_susceptibility_csv(path) -> SusceptibilityCurve:
 
 
 def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> None:
-    write_csv_table(path, CHI_HEADER, curve.temperatures, curve.chi, curve.sigma)
+    _write_text(path, csv_table_text(CHI_HEADER, curve.temperatures, curve.chi, curve.sigma))
 
 
 def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
@@ -347,7 +369,7 @@ def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
     )
 
 
-def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
+def _spectrum_csv_text(grid: SpectrumGrid) -> str:
     """One row per (E, Q) cell, E outer, each float in its shortest repr."""
     q_reprs = [repr(q) for q in grid.q_axis.tolist()]
     lines = [",".join(SQE_HEADER) + "\n"]
@@ -356,8 +378,11 @@ def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
     ):
         e_repr = repr(e)
         lines += [f"{q},{e_repr},{v!r},{err!r}\n" for q, v, err in zip(q_reprs, row, err_row)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+    return "".join(lines)
+
+
+def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
+    _write_text(path, _spectrum_csv_text(grid))
 
 
 def _resolution_line(e: np.ndarray, fwhm: float) -> np.ndarray:
@@ -502,42 +527,47 @@ class SynthConfig:
                 raise ValueError(f"{name} must be a finite number, got {value}")
 
 
-def generate_synthetic_dataset(
+def _text_record(name: str, text: str) -> dict:
+    """The provenance record of ``text`` written as the file ``name``."""
+    return {"path": name, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def synthetic_dataset(
     chain: ChainParameters,
     starykh: StarykhParams,
     temperatures: Sequence[float],
-    outdir,
-    config: SynthConfig | None = None,
+    config: SynthConfig,
 ) -> dict:
-    """Write a deterministic synthetic dataset: one chi.csv plus one
-    spectrum CSV and manifest per temperature.
+    """A deterministic synthetic dataset as ``{file name: content}``: ``chi.csv``,
+    then ``sqe_T*.csv`` and ``manifest_T*.json`` per temperature, then
+    ``generation.json``; each CSV as text, hashed from that text.
 
     The spectrum is a separable 1D model, envelope(q) * S(E, T), pushed
     through the exact powder average, plus an optional elastic line and
     flat background. Each manifest's ``calibration`` field holds the exact
     factor between the Q-window-integrated chi'' cut and the chain model
     chi'', so the analysis pipeline can recover the generation parameters.
-
-    Returns a dict of written paths and the generation record.
+    A non-finite chi, sigma, count or error is refused with a ValueError
+    naming its temperature.
     """
-    cfg = config or SynthConfig()
     if chain.lattice_c is None:
         raise ValueError("chain.lattice_c is required to place the zone center")
     for t in temperatures:
         dynamics.scaling_dimension(t, starykh)  # refuses a bad or near-cutoff temperature early
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.Philox(config.seed))
 
     # susceptibility curve
-    chi_t = np.asarray(cfg.chi_temperatures, dtype=float)
+    chi_t = np.asarray(config.chi_temperatures, dtype=float)
     chi_clean = chi_full(chi_t, chain)
-    sigma = cfg.chi_noise_level * np.abs(chi_clean)
+    sigma = config.chi_noise_level * np.abs(chi_clean)
     chi_noisy = chi_clean + rng.normal(size=chi_t.size) * sigma
+    bad = ~(np.isfinite(chi_noisy) & np.isfinite(sigma))
+    if bad.any():
+        raise ValueError(f"synthetic chi or sigma at T = {chi_t[bad][0]:g} K is not finite")
     curve = SusceptibilityCurve(temperatures=chi_t, chi=chi_noisy, sigma=sigma)
-    chi_path = outdir / "chi.csv"
-    write_susceptibility_csv(chi_path, curve)
+    outputs = {"chi.csv": csv_table_text(CHI_HEADER, curve.temperatures, curve.chi, curve.sigma)}
+    files = [_text_record("chi.csv", outputs["chi.csv"])]
 
     q_zc = math.pi / chain.lattice_c
 
@@ -546,35 +576,36 @@ def generate_synthetic_dataset(
         return np.exp(-0.5 * ((q - q_zc) / w) ** 2) + np.exp(-0.5 * ((q + q_zc) / w) ** 2)
 
     # powder average of the envelope alone (separability makes this exact)
-    env_grid = spinon.forward_powder_average(lambda q, e: envelope(q), cfg.q_axis, [0.0])
+    env_grid = spinon.forward_powder_average(lambda q, e: envelope(q), config.q_axis, [0.0])
     env_pwd = env_grid.intensity[0]
     window_weight = float(integrate_q_window(env_grid, *_Q_WINDOW).values[0])
 
-    e_axis = np.asarray(cfg.e_axis, dtype=float)
-    elastic_line = cfg.elastic_amplitude * _resolution_line(e_axis, _RESOLUTION_FWHM)
-    written = {"chi_csv": str(chi_path), "spectra": []}
-    files = [file_record(chi_path, chi_path.name)]
+    e_axis = np.asarray(config.e_axis, dtype=float)
+    elastic_line = config.elastic_amplitude * _resolution_line(e_axis, _RESOLUTION_FWHM)
     for t in temperatures:
         sqw_e = dynamics.sqw_on_axis(e_axis, t, starykh)
         counts = _COUNTS_SCALE * np.outer(sqw_e, env_pwd)
         counts += elastic_line[:, None]
-        counts += cfg.flat_background
+        counts += config.flat_background
         errors = np.sqrt(np.maximum(counts, 1.0))
-        if cfg.noise_level > 0:
-            counts = counts + cfg.noise_level * rng.normal(size=counts.shape) * errors
+        if config.noise_level > 0:
+            counts = counts + config.noise_level * rng.normal(size=counts.shape) * errors
+        if not (np.isfinite(counts).all() and np.isfinite(errors).all()):
+            raise ValueError(f"synthetic counts or errors at T = {t:g} K are not finite")
         grid = SpectrumGrid(
-            q_axis=cfg.q_axis,
-            e_axis=cfg.e_axis,
+            q_axis=config.q_axis,
+            e_axis=config.e_axis,
             intensity=counts,
             errors=errors,
             temperature=t,
         )
         tag = f"{t:g}".replace(".", "p")
-        sqe_path = outdir / f"sqe_T{tag}.csv"
-        write_spectrum_csv(sqe_path, grid)
-        files.append(file_record(sqe_path, sqe_path.name))
+        if f"sqe_T{tag}.csv" in outputs:
+            raise ValueError(f"two temperatures share the file name sqe_T{tag}.csv")
+        outputs[f"sqe_T{tag}.csv"] = _spectrum_csv_text(grid)
+        files.append(_text_record(f"sqe_T{tag}.csv", outputs[f"sqe_T{tag}.csv"]))
         manifest = DatasetManifest(
-            sample=cfg.sample,
+            sample=config.sample,
             temperature_K=float(t),
             resolution_fwhm_meV=_RESOLUTION_FWHM,
             q_window=_Q_WINDOW,
@@ -583,34 +614,43 @@ def generate_synthetic_dataset(
             policies={
                 "negative_log_policy": starykh.negative_log_policy,
                 "clip_negative_chi_imag": True,
-                "elastic_amplitude": cfg.elastic_amplitude,
-                "flat_background": cfg.flat_background,
+                "elastic_amplitude": config.elastic_amplitude,
+                "flat_background": config.flat_background,
             },
             inputs=[files[-1]],
         )
-        manifest_path = outdir / f"manifest_T{tag}.json"
-        manifest.save(manifest_path)
-        written["spectra"].append(
-            {"sqe_csv": str(sqe_path), "manifest": str(manifest_path)}
-        )
+        outputs[f"manifest_T{tag}.json"] = asdict(manifest)
 
-    generation = {
-        "sample": cfg.sample,
-        "seed": cfg.seed,
-        "noise_level": cfg.noise_level,
-        "chi_noise_level": cfg.chi_noise_level,
+    outputs["generation.json"] = {
+        "sample": config.sample,
+        "seed": config.seed,
+        "noise_level": config.noise_level,
+        "chi_noise_level": config.chi_noise_level,
         "counts_scale": _COUNTS_SCALE,
         "chain": asdict(chain),
         "starykh": asdict(starykh),
         "temperatures": [float(t) for t in temperatures],
         "q_window": list(_Q_WINDOW),
         "envelope_width": _ENVELOPE_WIDTH,
-        "elastic_amplitude": cfg.elastic_amplitude,
-        "flat_background": cfg.flat_background,
+        "elastic_amplitude": config.elastic_amplitude,
+        "flat_background": config.flat_background,
         "resolution_fwhm": _RESOLUTION_FWHM,
         "files": files,
     }
-    gen_path = outdir / "generation.json"
-    write_json(gen_path, generation)
-    written["generation"] = str(gen_path)
-    return written
+    return outputs
+
+
+def generate_synthetic_dataset(
+    chain: ChainParameters,
+    starykh: StarykhParams,
+    temperatures: Sequence[float],
+    outdir,
+    config: SynthConfig | None = None,
+) -> dict:
+    """Write ``synthetic_dataset`` into ``outdir``; returns the paths
+    written as ``{chi_csv, spectra: [{sqe_csv, manifest}], generation}``."""
+    outputs = synthetic_dataset(chain, starykh, temperatures, config or SynthConfig())
+    write_outputs(outdir, outputs, None)
+    paths = [str(Path(outdir) / name) for name in outputs]
+    spectra = [{"sqe_csv": s, "manifest": m} for s, m in zip(paths[1:-1:2], paths[2:-1:2])]
+    return {"chi_csv": paths[0], "spectra": spectra, "generation": paths[-1]}

@@ -87,7 +87,10 @@ def _pade(x):
 def _molar_moment_squared(g_factor):
     """N_A (g mu_B)^2, the numerator of the Curie constant."""
     u = DEFAULT_UNITS
-    return u.avogadro * (g_factor * u.bohr_magneton) ** 2
+    try:
+        return u.avogadro * (g_factor * u.bohr_magneton) ** 2
+    except OverflowError:  # a float power overflows where a product would give inf
+        return np.inf
 
 
 def _chain(t, j_over_kb, g_factor):
@@ -209,7 +212,8 @@ def witness_mwse(curve: SusceptibilityCurve, params: ChainParameters) -> Witness
     nonnegative values.
     """
     t = curve.temperatures
-    denom = _molar_moment_squared(params.g_factor) * params.spin
+    name = f"N_A (g mu_B)^2 S at g = {params.g_factor:g}"
+    denom = _positive(_molar_moment_squared(params.g_factor) * params.spin, name)
     mw = 3.0 * DEFAULT_UNITS.boltzmann_erg_per_kelvin * t * curve.chi / denom - 1.0
 
     t_se = None

@@ -1118,3 +1118,70 @@ def test_scalar_out_of_range_exits_2_before_any_output(small_dataset, tmp_path, 
     # no "warnings" key: the refusal comes before any computation could warn
     assert single_error(capsys) == {"error": "ValueError", "message": message}
     assert not out.exists()
+
+
+# synth commands whose computation fails after part of the dataset is made
+SYNTH_FAULTS = {
+    "zero calibration": (
+        ["--temps", "0.2,0.5", "--lattice-c", "0.01"],
+        "calibration must be a finite number > 0, got 0.0",
+    ),
+    "infinite counts": (
+        ["--temps", "0.2", "--a-starykh", "1e308"],
+        "synthetic counts or errors at T = 0.2 K are not finite",
+    ),
+    "noisy infinite counts": (
+        ["--temps", "0.2,0.5", "--a-starykh", "1e308", "--noise", "1"],
+        "synthetic counts or errors at T = 0.2 K are not finite",
+    ),
+    "infinite chi": (
+        ["--temps", "0.2", "--g", "1e200"],
+        "synthetic chi or sigma at T = 0.5 K is not finite",
+    ),
+    "shared file name": (
+        ["--temps", "0.2,0.2000001"],
+        "two temperatures share the file name sqe_T0p2.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTH_FAULTS))
+def test_failing_synth_writes_nothing(tmp_path, capsys, case):
+    argv, message = SYNTH_FAULTS[case]
+    out = tmp_path / "o"
+    assert main(["synth", *argv, "--out", str(out)]) == 2
+    err = single_error(capsys)
+    assert (err["error"], err["message"]) == ("ValueError", message)
+    assert not out.exists()
+
+
+def test_synth_prints_nothing(tmp_path, capsys):
+    assert main(["synth", "--temps", "0.5", "--out", str(tmp_path / "d"), "--deterministic"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "chi.csv", "generation.json", "manifest_T0p5.json", "sqe_T0p5.csv"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["synth", "--temps", "0.2", "--g", "1e200"],
+        lambda d: ["witness", d["chi_csv"], "--g", "1e200"],
+        lambda d: ["fit-susceptibility", d["chi_csv"], "--g0", "1e200"],
+        lambda d: ["fit-susceptibility", d["chi_csv"], "--freeze", "g=1e200"],
+    ],
+    ids=["synth", "witness", "fit --g0", "fit --freeze"],
+)
+def test_huge_g_exits_2_without_a_traceback(small_dataset, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv(small_dataset), "--out", str(out)]) == 2
+    assert single_error(capsys)["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_witness_refuses_j_kelvin(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["witness", "x.csv", "--g", "2.0", "--j-kelvin", "3.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --j-kelvin 3.1" in capsys.readouterr().err

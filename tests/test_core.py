@@ -206,3 +206,12 @@ def test_only_core_states_the_positive_rule():
         "cli.py": ['raise ValueError(f"--temps entry {k} ({token!r}) must be a finite number > 0")']
     }
     assert not hasattr(suscept, "_as_temperature_array")
+
+
+def test_zero_dimensional_array_counts_as_its_value():
+    assert _is_positive(np.array(0.5)) and _is_positive(np.array(3))
+    assert chi_imag_from_sqw(1.0, 0.1, np.array(0.5)) == chi_imag_from_sqw(1.0, 0.1, 0.5)
+    for bad in (np.array(True), np.array(-0.5), np.array(math.nan), np.array([0.5])):
+        assert not _is_positive(bad)
+    with pytest.raises(NonPositiveTemperature, match="got True$"):
+        chi_imag_from_sqw(1.0, 0.1, np.array(True))

@@ -886,3 +886,33 @@ def test_synthetic_spectrum_row_at_zero_energy(tmp_path):
     grid = read_spectrum_csv(entry["sqe_csv"], DatasetManifest.load(entry["manifest"]))
     np.testing.assert_array_equal(grid.e_axis, e_axis)
     assert np.all(np.isfinite(grid.intensity[2])) and np.all(grid.intensity[2] > 0)
+
+
+def test_synthetic_dataset_opens_no_file(tmp_path, monkeypatch):
+    """The generator returns its files as text and dicts, hashing each CSV
+    from its text; writing them gives the bytes and hashes of the writer."""
+    cfg = small_config(seed=7, noise_level=1.0, elastic_amplitude=100.0)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("synthetic_dataset opened a file")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pipeline_io, "open", no_open, raising=False)
+    outputs = pipeline_io.synthetic_dataset(CHAIN, STARYKH, [0.2, 0.5], cfg)
+    monkeypatch.delattr(pipeline_io, "open")
+    assert list(tmp_path.iterdir()) == []
+    assert list(outputs) == [
+        "chi.csv", "sqe_T0p2.csv", "manifest_T0p2.json", "sqe_T0p5.csv", "manifest_T0p5.json",
+        "generation.json",
+    ]
+    written = generate_synthetic_dataset(CHAIN, STARYKH, [0.2, 0.5], tmp_path / "d", config=cfg)
+    assert written["spectra"][1] == {
+        "sqe_csv": str(tmp_path / "d" / "sqe_T0p5.csv"),
+        "manifest": str(tmp_path / "d" / "manifest_T0p5.json"),
+    }
+    for name, content in outputs.items():
+        if not isinstance(content, str):
+            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "d" / name).read_text(encoding="utf-8") == content
+    for record in outputs["generation.json"]["files"]:
+        assert record["sha256"] == sha256_of(tmp_path / "d" / record["path"])
