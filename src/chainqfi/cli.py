@@ -130,7 +130,7 @@ def cmd_fit_susceptibility(args) -> dict:
         "j_from_t_max_data_K": j_from_data,
         "j_from_t_max_note": J_FROM_TMAX_NOTE,
         "impurity_curie": args.impurity_curie,
-        "inputs": [pipeline_io.file_record(args.chi_csv, args.chi_csv)],
+        "inputs": [pipeline_io.file_record(args.chi_csv)],
     }
     fig = Figure(title="susceptibility fit", xlabel="T (K)", ylabel="chi (emu/mol)", xlog=True)
     fig.points(curve.temperatures, curve.chi, color="#000000", label="data")
@@ -155,7 +155,7 @@ def cmd_witness(args) -> dict:
         "t_se_K": series.t_se,
         "g_factor": args.g,
         "spin": params.spin,
-        "inputs": [pipeline_io.file_record(args.chi_csv, args.chi_csv)],
+        "inputs": [pipeline_io.file_record(args.chi_csv)],
     }
     fig = Figure(title="entanglement witness", xlabel="T (K)", ylabel="MW_SE")
     fig.hline(0.0)
@@ -220,7 +220,7 @@ def cmd_qfi(args) -> dict:
             "mode": "data",
             "starykh_fit": _as_json(fit_result),
             "elastic_subtraction": elastic_records,
-            "inputs": [pipeline_io.file_record(p, p) for p in args.data] + spectra,
+            "inputs": [pipeline_io.file_record(p) for p in args.data] + spectra,
         }
     else:
         temps = _parse_temps(MODEL_TEMPS if args.temps is None else args.temps)
@@ -230,74 +230,76 @@ def cmd_qfi(args) -> dict:
 
     points, curves = [], []
     grid = np.linspace(0.0, omega_max, 241)
+    # the F_Q warnings go in the report, or with any later failure to main
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for t, source in sources:
                 points.append(qfi.compute_qfi(source, t=t, omega_max=omega_max))
                 curves.append(dynamics.chi_imag_starykh(grid, t, params))
+        scaling = qfi.fit_scaling(points, z=args.z) if len(points) >= 3 else None
+        report = {
+            **mode_fields,
+            "omega_max_meV": omega_max,
+            "z": args.z,
+            "warnings": [str(w.message) for w in caught],
+            "negative_log_policy": params.negative_log_policy,
+            "scaling": None if scaling is None else _as_json(scaling),
+            "points": [
+                {
+                    "T_K": p.temperature,
+                    "F_Q": p.f_q,
+                    "err": p.quadrature_error_estimate,
+                    "clipped_count": p.clipped_count,
+                    "tail_fraction": p.tail_fraction,
+                }
+                for p in points
+            ],
+        }
+        if scaling is None:
+            report["scaling_skipped_reason"] = (
+                f"power-law fit needs at least 3 temperatures, got {len(points)}"
+            )
+
+        # chi'' panels: model curve, tanh-weighted area, the cut's points in data mode
+        chi_fig = Figure(title="dynamic susceptibility", xlabel="E (meV)", ylabel="chi'' (arb.)")
+        palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+        for k, ((t, source), chi_curve) in enumerate(zip(sources, curves)):
+            color = palette[k % len(palette)]
+            area = qfi.qfi_integrand(grid, t, chi_curve)
+            chi_fig.fill_under(grid, area, color=color, opacity=0.25)
+            chi_fig.line(grid, chi_curve, color=color, label=f"T = {t:g} K")
+            if args.data:
+                mask = (source.e_axis >= 0) & (source.e_axis <= omega_max)
+                chi_fig.points(source.e_axis[mask], source.values[mask], color=color, radius=1.8)
+        temps = np.array([p.temperature for p in points])
+        values = np.array([p.f_q for p in points])
+        scaling_fig = Figure(
+            title="QFI scaling", xlabel="T (K)", ylabel="F_Q (arb.)", xlog=True, ylog=True
+        )
+        scaling_fig.points(temps, values, color="#000000", label="F_Q(T)")
+        if scaling is not None:
+            t_line = np.geomspace(temps.min(), temps.max(), 100)
+            scaling_fig.line(
+                t_line,
+                scaling.amplitude * t_line ** (-scaling.delta_q_over_z),
+                color="#d62728",
+                label=f"slope = -{scaling.delta_q_over_z:.3g}",
+            )
+
+        fit_report = {"fit_report.json": report["starykh_fit"]} if args.data else {}
+        return {
+            **fit_report,
+            "qfi_points.csv": pipeline_io.csv_table_text(
+                ["T_K", "F_Q", "err"], temps, values, [p.quadrature_error_estimate for p in points]
+            ),
+            "qfi_report.json": report,
+            "chi_imag.svg": chi_fig,
+            "qfi_scaling.svg": scaling_fig,
+        }
     except Exception:
-        _reissue(caught)  # for main to report with the error
+        _reissue(caught)
         raise
-    scaling = qfi.fit_scaling(points, z=args.z) if len(points) >= 3 else None
-    report = {
-        **mode_fields,
-        "omega_max_meV": omega_max,
-        "z": args.z,
-        "warnings": [str(w.message) for w in caught],
-        "negative_log_policy": params.negative_log_policy,
-        "scaling": None if scaling is None else _as_json(scaling),
-        "points": [
-            {
-                "T_K": p.temperature,
-                "F_Q": p.f_q,
-                "err": p.quadrature_error_estimate,
-                "clipped_count": p.clipped_count,
-                "tail_fraction": p.tail_fraction,
-            }
-            for p in points
-        ],
-    }
-    if scaling is None:
-        report["scaling_skipped_reason"] = (
-            f"power-law fit needs at least 3 temperatures, got {len(points)}"
-        )
-
-    # chi'' panels: model curve, tanh-weighted area, the cut's points in data mode
-    chi_fig = Figure(title="dynamic susceptibility", xlabel="E (meV)", ylabel="chi'' (arb.)")
-    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-    for k, ((t, source), chi_curve) in enumerate(zip(sources, curves)):
-        color = palette[k % len(palette)]
-        chi_fig.fill_under(grid, qfi.qfi_integrand(grid, t, chi_curve), color=color, opacity=0.25)
-        chi_fig.line(grid, chi_curve, color=color, label=f"T = {t:g} K")
-        if args.data:
-            mask = (source.e_axis >= 0) & (source.e_axis <= omega_max)
-            chi_fig.points(source.e_axis[mask], source.values[mask], color=color, radius=1.8)
-    temps = np.array([p.temperature for p in points])
-    values = np.array([p.f_q for p in points])
-    scaling_fig = Figure(
-        title="QFI scaling", xlabel="T (K)", ylabel="F_Q (arb.)", xlog=True, ylog=True
-    )
-    scaling_fig.points(temps, values, color="#000000", label="F_Q(T)")
-    if scaling is not None:
-        t_line = np.geomspace(temps.min(), temps.max(), 100)
-        scaling_fig.line(
-            t_line,
-            scaling.amplitude * t_line ** (-scaling.delta_q_over_z),
-            color="#d62728",
-            label=f"slope = -{scaling.delta_q_over_z:.3g}",
-        )
-
-    fit_report = {"fit_report.json": report["starykh_fit"]} if args.data else {}
-    return {
-        **fit_report,
-        "qfi_points.csv": pipeline_io.csv_table_text(
-            ["T_K", "F_Q", "err"], temps, values, [p.quadrature_error_estimate for p in points]
-        ),
-        "qfi_report.json": report,
-        "chi_imag.svg": chi_fig,
-        "qfi_scaling.svg": scaling_fig,
-    }
 
 
 def cmd_spinon(args) -> dict:
@@ -333,7 +335,7 @@ def cmd_spinon(args) -> dict:
         "lattice_c_A": lattice_c,
         "zone_center_q_invA": zone_center_q,
         "upper_bound_at_zone_center_meV": e_upper_max,
-        "inputs": [pipeline_io.file_record(args.data, args.data), spectrum],
+        "inputs": [pipeline_io.file_record(args.data), spectrum],
     }
     fig = Figure(title="spinon continuum", xlabel="Q (1/A)", ylabel="E (meV)")
     positive = converted.e_axis >= 0
@@ -357,7 +359,6 @@ def cmd_synth(args) -> dict:
     )
     starykh = _model_params(args, policy)
     config = pipeline_io.SynthConfig(
-        sample=args.sample,
         seed=args.seed,
         noise_level=args.noise,
         chi_noise_level=args.chi_noise,
@@ -475,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-noise", type=float, default=0.0, help="relative chi noise")
     p.add_argument("--elastic-amp", type=float, default=0.0)
     p.add_argument("--flat-bg", type=float, default=0.0)
-    p.add_argument("--sample", default="synthetic-chain")
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -38,13 +38,15 @@ class UnitSystem:
 
     ``boltzmann_mev_per_kelvin`` converts temperature to energy on the
     spectroscopy side; ``bohr_magneton`` (erg/G) and ``avogadro`` feed the
-    CGS-emu molar susceptibility formulas.
+    CGS-emu molar susceptibility formulas. The constants are class
+    attributes, not fields: no constructor takes them, and the frozen
+    dataclass refuses any assignment to its one instance.
     """
 
-    boltzmann_mev_per_kelvin: float = 0.08617333
-    bohr_magneton: float = 9.2740100783e-21
-    avogadro: float = 6.02214076e23
-    erg_per_mev: float = 1.602176634e-15
+    boltzmann_mev_per_kelvin = 0.08617333
+    bohr_magneton = 9.2740100783e-21
+    avogadro = 6.02214076e23
+    erg_per_mev = 1.602176634e-15
 
     @property
     def boltzmann_erg_per_kelvin(self) -> float:

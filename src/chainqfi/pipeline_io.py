@@ -76,10 +76,9 @@ def sha256_of(path) -> str:
     return h.hexdigest()
 
 
-def file_record(path, name) -> dict:
-    """The provenance record ``{path, sha256}`` of the file at ``path``,
-    listed under ``str(name)``."""
-    return {"path": str(name), "sha256": sha256_of(path)}
+def file_record(path) -> dict:
+    """The provenance record ``{path, sha256}`` of the file at ``path``."""
+    return {"path": str(path), "sha256": sha256_of(path)}
 
 
 def _write_text(path, text: str) -> None:
@@ -220,7 +219,7 @@ def load_dataset(manifest_path) -> Dataset:
     manifest = DatasetManifest.load(manifest_path)
     entry = manifest.inputs[0]
     spectrum_path = Path(manifest_path).parent / entry["path"]
-    record = file_record(spectrum_path, spectrum_path)
+    record = file_record(spectrum_path)
     if record["sha256"] != entry["sha256"]:
         raise ParseError(
             f"{spectrum_path} does not match the sha256 recorded in {manifest_path}"
@@ -463,9 +462,7 @@ def apply_fluctuation_dissipation(cut: EnergyCut) -> EnergyCut:
     return replace(cut, values=factor * cut.values, errors=np.abs(factor) * cut.errors)
 
 
-def reduce_to_chi_imag(
-    grid: SpectrumGrid, manifest: DatasetManifest, record: dict | None = None
-) -> EnergyCut:
+def reduce_to_chi_imag(grid: SpectrumGrid, manifest: DatasetManifest, record: dict) -> EnergyCut:
     """The calibrated chi''(E) cut of one dataset: Q-window integral, elastic
     line subtraction (fit stored in ``record``), fluctuation-dissipation,
     and division by the manifest's calibration."""
@@ -477,10 +474,11 @@ def reduce_to_chi_imag(
     )
 
 
-# Fixed scales of the synthetic generator, recorded in generation.json:
-# model intensity to detector counts, the Q window (1/A) each manifest
-# names, the width (1/A) of each Gaussian of the momentum envelope, and the
-# resolution FWHM (meV) of the elastic line.
+# Fixed settings of the synthetic generator, recorded in generation.json:
+# the sample name, model intensity to detector counts, the Q window (1/A)
+# each manifest names, the width (1/A) of each Gaussian of the momentum
+# envelope, and the resolution FWHM (meV) of the elastic line.
+_SAMPLE = "synthetic-chain"
 _COUNTS_SCALE = 1.0e4
 _Q_WINDOW = (0.4, 1.1)
 _ENVELOPE_WIDTH = 0.25
@@ -496,11 +494,10 @@ class SynthConfig:
     >= 0, and the elastic amplitude and flat background finite. The
     momentum envelope of the synthetic 1D signal is a pair of Gaussians
     (even in q) centered at the antiferromagnetic zone center pi/c. The
-    counts scale, Q window, envelope width and resolution are module
-    constants.
+    sample name, counts scale, Q window, envelope width and resolution are
+    module constants.
     """
 
-    sample: str = "synthetic-chain"
     seed: int = 0
     noise_level: float = 0.0
     q_axis: np.ndarray = field(
@@ -605,7 +602,7 @@ def synthetic_dataset(
         outputs[f"sqe_T{tag}.csv"] = _spectrum_csv_text(grid)
         files.append(_text_record(f"sqe_T{tag}.csv", outputs[f"sqe_T{tag}.csv"]))
         manifest = DatasetManifest(
-            sample=config.sample,
+            sample=_SAMPLE,
             temperature_K=float(t),
             resolution_fwhm_meV=_RESOLUTION_FWHM,
             q_window=_Q_WINDOW,
@@ -622,7 +619,7 @@ def synthetic_dataset(
         outputs[f"manifest_T{tag}.json"] = asdict(manifest)
 
     outputs["generation.json"] = {
-        "sample": config.sample,
+        "sample": _SAMPLE,
         "seed": config.seed,
         "noise_level": config.noise_level,
         "chi_noise_level": config.chi_noise_level,
@@ -645,11 +642,11 @@ def generate_synthetic_dataset(
     starykh: StarykhParams,
     temperatures: Sequence[float],
     outdir,
-    config: SynthConfig | None = None,
+    config: SynthConfig,
 ) -> dict:
     """Write ``synthetic_dataset`` into ``outdir``; returns the paths
     written as ``{chi_csv, spectra: [{sqe_csv, manifest}], generation}``."""
-    outputs = synthetic_dataset(chain, starykh, temperatures, config or SynthConfig())
+    outputs = synthetic_dataset(chain, starykh, temperatures, config)
     write_outputs(outdir, outputs, None)
     paths = [str(Path(outdir) / name) for name in outputs]
     spectra = [{"sqe_csv": s, "manifest": m} for s, m in zip(paths[1:-1:2], paths[2:-1:2])]

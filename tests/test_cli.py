@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import chainqfi
-from chainqfi import cli, fitter
+from chainqfi import cli, fitter, qfi
 from chainqfi.cli import build_parser, main
 from chainqfi.core import ChainParameters, SpectrumGrid
-from chainqfi.errors import ChainQfiError
+from chainqfi.errors import ChainQfiError, NonPositiveValue
 from chainqfi.pipeline_io import (
     DatasetManifest,
     SynthConfig,
@@ -1185,3 +1185,19 @@ def test_witness_refuses_j_kelvin(capsys):
         build_parser().parse_args(["witness", "x.csv", "--g", "2.0", "--j-kelvin", "3.1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --j-kelvin 3.1" in capsys.readouterr().err
+
+
+def test_qfi_failure_after_the_f_q_loop_keeps_its_warnings(tmp_path, monkeypatch, capsys):
+    """The F_Q warnings join the error line also when the scaling fit fails."""
+    def fail(points, z):
+        raise NonPositiveValue("the scaling fit failed")
+
+    monkeypatch.setattr(qfi, "fit_scaling", fail)
+    out = tmp_path / "o"
+    code = main(["qfi", "--model", "--policy", "absolute-value", "--temps", "0.04,0.5,3,6.7",
+                 "--out", str(out)])
+    assert code == 3
+    err = single_error(capsys)
+    assert (err["error"], err["message"]) == ("NonPositiveValue", "the scaling fit failed")
+    assert [w["category"] for w in err["warnings"]] == ["TruncationWarning"] * 4
+    assert not out.exists()
