@@ -113,6 +113,23 @@ class TestCovariance:
         np.testing.assert_allclose(res.covariance, expected, rtol=1e-5)
         assert res.reduced_chi2 == pytest.approx(1.0, abs=0.3)
 
+    @pytest.mark.parametrize("bound", [(0.0, None), (None, 10.0), (0.0, 10.0)],
+                             ids=["lower", "upper", "two-sided"])
+    def test_inactive_bound_maps_covariance_back(self, bound):
+        # a ~ 3 sits well inside each bound: dp/du must carry the covariance
+        # of the internal coordinate back to the unbounded one
+        rng = np.random.default_rng(17)
+        sigma = 0.05
+        x = np.linspace(0.0, 1.0, 200)
+        data = 3.0 * x + 0.5 + rng.normal(scale=sigma, size=x.size)
+
+        def residuals(p):
+            return (p["a"] * x + p["b"] - data) / sigma
+
+        free = least_squares(residuals, {"a": 1.0, "b": 0.0})
+        bounded = least_squares(residuals, {"a": 1.0, "b": 0.0}, bounds={"a": bound})
+        np.testing.assert_allclose(bounded.covariance, free.covariance, rtol=1e-5)
+
     def test_covariance_psd(self):
         res = least_squares(linear_residuals, {"a": 0.3, "b": -2.0})
         eigs = np.linalg.eigvalsh(res.covariance)
