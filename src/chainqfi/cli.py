@@ -25,7 +25,7 @@ import numpy as np
 from . import dynamics, pipeline_io, qfi, spinon, suscept
 from .core import ChainParameters, _is_positive, _positive, kelvin_to_mev
 from .dynamics import StarykhParams
-from .errors import ChainQfiError, FitDiverged, NoInteriorMaximum
+from .errors import ChainQfiError, FitDiverged, NoInteriorMaximum, NonPositiveValue
 from .svgplot import Figure
 
 J_FROM_TMAX_NOTE = (
@@ -237,7 +237,15 @@ def cmd_qfi(args) -> dict:
             for t, source in sources:
                 points.append(qfi.compute_qfi(source, t=t, omega_max=omega_max))
                 curves.append(dynamics.chi_imag_starykh(grid, t, params))
-        scaling = qfi.fit_scaling(points, z=args.z) if len(points) >= 3 else None
+        try:
+            scaling = qfi.fit_scaling(points, z=args.z) if len(points) >= 3 else None
+        except NonPositiveValue as exc:
+            # name the manifest whose cut gave the refused F_Q
+            bad = next((path for path, p in zip(args.data or (), points)
+                        if not _is_positive(p.f_q)), None)
+            if bad is None:
+                raise
+            raise NonPositiveValue(f"{bad}: {exc}") from exc
         report = {
             **mode_fields,
             "omega_max_meV": omega_max,

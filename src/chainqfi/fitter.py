@@ -67,47 +67,28 @@ def sigma_weights(sigma) -> np.ndarray:
     return 1.0 / np.where(sigma > 0, sigma, 1.0)
 
 
-class _Transform:
-    """Map between an unconstrained internal coordinate and a bounded parameter."""
+def _bounded(lo: float | None, hi: float | None, start: float):
+    """(internal start, map u -> p, dp/du) of a parameter bounded by (lo, hi):
+    identity when unbounded, exponential for one bound, logistic for two."""
+    if lo is None and hi is None:
+        return start, lambda u: u, lambda u: 1.0
+    if lo is not None and hi is not None:
+        if not (lo < start < hi):
+            raise ValueError(f"initial value {start} outside bounds ({lo}, {hi})")
 
-    def __init__(self, lo: float | None, hi: float | None):
-        self.lo, self.hi = lo, hi
-
-    def to_internal(self, p: float) -> float:
-        lo, hi = self.lo, self.hi
-        if lo is None and hi is None:
-            return p
-        if lo is not None and hi is not None:
-            if not (lo < p < hi):
-                raise ValueError(f"initial value {p} outside bounds ({lo}, {hi})")
-            return math.log((p - lo) / (hi - p))
-        if lo is not None:
-            if not (p > lo):
-                raise ValueError(f"initial value {p} must exceed lower bound {lo}")
-            return math.log(p - lo)
-        if not (p < hi):
-            raise ValueError(f"initial value {p} must be below upper bound {hi}")
-        return math.log(hi - p)
-
-    def to_external(self, u: float) -> float:
-        lo, hi = self.lo, self.hi
-        if lo is None and hi is None:
-            return u
-        if lo is not None and hi is not None:
-            return lo + (hi - lo) / (1.0 + math.exp(-u))
-        if lo is not None:
-            return lo + math.exp(u)
-        return hi - math.exp(u)
-
-    def derivative(self, u: float) -> float:
-        """dp/du, used to map the covariance back to parameter units."""
-        lo, hi = self.lo, self.hi
-        if lo is None and hi is None:
-            return 1.0
-        if lo is not None and hi is not None:
+        def slope(u: float) -> float:
             s = 1.0 / (1.0 + math.exp(-u))
             return (hi - lo) * s * (1.0 - s)
-        return math.exp(u) if lo is not None else -math.exp(u)
+
+        return (math.log((start - lo) / (hi - start)),
+                lambda u: lo + (hi - lo) / (1.0 + math.exp(-u)), slope)
+    if lo is not None:
+        if not (start > lo):
+            raise ValueError(f"initial value {start} must exceed lower bound {lo}")
+        return math.log(start - lo), lambda u: lo + math.exp(u), math.exp
+    if not (start < hi):
+        raise ValueError(f"initial value {start} must be below upper bound {hi}")
+    return math.log(hi - start), lambda u: hi - math.exp(u), lambda u: -math.exp(u)
 
 
 def least_squares(
@@ -141,13 +122,15 @@ def least_squares(
     if not free_names:
         raise ValueError("at least one parameter must be free")
 
-    transforms = [_Transform(*bounds.get(n, (None, None))) for n in free_names]
+    u0, maps, slopes = zip(*(
+        _bounded(*bounds.get(n, (None, None)), float(initial[n])) for n in free_names
+    ))
     fixed = {n: float(initial[n]) for n in names if n in frozen}
 
     def unpack(u: np.ndarray) -> dict[str, float]:
         params = dict(fixed)
-        for name, tr, ui in zip(free_names, transforms, u):
-            params[name] = tr.to_external(ui)
+        for name, to_p, ui in zip(free_names, maps, u):
+            params[name] = to_p(ui)
         return params
 
     def evaluate(u: np.ndarray) -> np.ndarray:
@@ -162,7 +145,7 @@ def least_squares(
             r = r.ravel()
         return r
 
-    u = np.array([tr.to_internal(float(initial[n])) for n, tr in zip(free_names, transforms)])
+    u = np.array(u0)
     r = evaluate(u)
     m, n_free = r.size, len(free_names)
     if m < n_free:
@@ -238,7 +221,7 @@ def least_squares(
         message = "maximum iterations reached"
 
     jac = jacobian(u, r)
-    scale = np.array([tr.derivative(uk) for tr, uk in zip(transforms, u)])
+    scale = np.array([slope(uk) for slope, uk in zip(slopes, u)])
     dof = m - n_free
     sigma2 = cost / dof if dof > 0 else 0.0
     normal = jac.T @ jac

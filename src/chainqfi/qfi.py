@@ -165,7 +165,9 @@ def compute_qfi(
     returns chi'' there; a callable that accepts only a float (found out
     once per call) is evaluated node by node instead. If 200 panels do not
     reach the tolerance, a :class:`QuadratureLimitWarning` names T and the
-    error reached.
+    error reached. An F_Q or error estimate that is not finite (a finite
+    line-shape parameter can still overflow chi'') raises
+    :class:`NonPositiveValue` naming T.
     ``omega_max`` (meV) is mandatory; pi*J is the conventional choice.
     """
     _positive(omega_max, "omega_max (meV)")
@@ -174,8 +176,15 @@ def compute_qfi(
             raise ValueError(
                 f"explicit t = {t} disagrees with cut temperature {source.temperature}"
             )
-        return _qfi_tabulated(source, omega_max)
-    return _qfi_model(source, _temperature(t), omega_max)
+        point = _qfi_tabulated(source, omega_max)
+    else:
+        point = _qfi_model(source, _temperature(t), omega_max)
+    if not (math.isfinite(point.f_q) and math.isfinite(point.quadrature_error_estimate)):
+        raise NonPositiveValue(
+            f"F_Q at T = {point.temperature:g} K is not finite (F_Q = {point.f_q}, "
+            f"error = {point.quadrature_error_estimate}): the integrand overflows"
+        )
+    return point
 
 
 def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
@@ -184,14 +193,19 @@ def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
     Returns the exponent delta_q_over_z = -slope (and delta_q = -slope*z),
     the amplitude exp(intercept), the 2x2 covariance of (slope, intercept)
     and R^2. Uniform rescaling of all F_Q values moves only the amplitude.
+    The first F_Q that is not a finite number > 0 is refused with
+    :class:`NonPositiveValue` naming its temperature.
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points for the scaling fit, got {len(points)}")
     _positive(z, "dynamic critical exponent z")
     temps = np.array([p.temperature for p in points], dtype=float)
     values = np.array([p.f_q for p in points], dtype=float)
-    if np.any(values <= 0):
-        raise NonPositiveValue("all F_Q values must be positive for the log-log fit")
+    for p in points:
+        try:
+            _positive(p.f_q, f"F_Q at T = {p.temperature:g} K")
+        except ValueError as exc:
+            raise NonPositiveValue(f"{exc}; the log-log fit takes ln F_Q") from None
     if np.any(temps <= 0):
         raise NonPositiveValue("all temperatures must be positive for the log-log fit")
 

@@ -115,7 +115,8 @@ def gauss_kronrod(
     ``edges`` are breakpoints no panel straddles. At most ``_MAX_PANELS``
     panels are used; if the tolerance is not met by then, a
     :class:`QuadratureLimitWarning` naming ``what`` and the error reached
-    is issued and the best estimate is returned.
+    is issued and the best estimate is returned. An error estimate that is
+    not finite (the integrand overflows) is returned as it is, unrefined.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -124,7 +125,8 @@ def gauss_kronrod(
     while True:
         total = float(errors.sum())
         tol = max(epsabs, epsrel * abs(float(values.sum())))
-        if total <= tol and not distrust.any():
+        # splitting cannot mend a non-finite estimate: return it at once
+        if (total <= tol and not distrust.any()) or not math.isfinite(total):
             break
         order = np.argsort(np.where(distrust, np.inf, errors), kind="stable")[::-1]
         left_alone = total - np.cumsum(errors[order])

@@ -1201,3 +1201,56 @@ def test_qfi_failure_after_the_f_q_loop_keeps_its_warnings(tmp_path, monkeypatch
     assert (err["error"], err["message"]) == ("NonPositiveValue", "the scaling fit failed")
     assert [w["category"] for w in err["warnings"]] == ["TruncationWarning"] * 4
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--a-starykh", "1e307"), ("--t0-kelvin", "1e308"), ("--omega-max", "1e308"),
+])
+def test_finite_flag_whose_f_q_overflows_exits_3(tmp_path, capsys, flag, value):
+    """A flag that passes the finite-number rule can still overflow chi''; the
+    first F_Q that is not finite is refused, naming its temperature."""
+    out = tmp_path / "o"
+    code = main(["qfi", "--model", "--policy", "absolute-value", flag, value, "--out", str(out)])
+    assert code == 3
+    err = single_error(capsys)
+    assert err["error"] == "NonPositiveValue"
+    assert err["message"].startswith("F_Q at T = 0.04 K is not finite")
+    # the quadrature stops at the first non-finite estimate instead of
+    # splitting to its panel limit
+    assert "QuadratureLimitWarning" not in {w["category"] for w in err.get("warnings", [])}
+    assert not out.exists()
+
+
+def test_largest_a_starykh_below_the_overflow_still_runs(tmp_path):
+    out = tmp_path / "o"
+    code = main(["qfi", "--model", "--policy", "absolute-value", "--a-starykh", "1e306",
+                 "--out", str(out), "--deterministic"])
+    assert code == 0
+    report = json.loads((out / "qfi_report.json").read_text())
+    assert all(math.isfinite(p["F_Q"]) and math.isfinite(p["err"]) for p in report["points"])
+
+
+def test_zero_f_q_names_its_temperature_and_manifest(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    manifests = []
+    q, e = np.linspace(0.15, 1.5, 20), np.linspace(-0.195, 1.005, 61)
+    for k, t in enumerate((0.5, 0.6, 0.7)):
+        sqe = data_dir / f"sqe_{k}.csv"
+        write_spectrum_csv(sqe, SpectrumGrid(q, e, np.zeros((61, 20)), np.zeros((61, 20)), t))
+        manifests.append(data_dir / f"manifest_{k}.json")
+        DatasetManifest(
+            sample="null", temperature_K=t, resolution_fwhm_meV=0.0175,
+            q_window=(0.4, 1.1), lattice_c_A=5.32,
+            inputs=[{"path": sqe.name, "sha256": sha256_of(sqe)}],
+        ).save(manifests[-1])
+    out = tmp_path / "o"
+    code = main(["qfi", "--data", *map(str, manifests), "--out", str(out)])
+    assert code == 3
+    err = single_error(capsys)
+    assert (err["error"], err["message"]) == (
+        "NonPositiveValue",
+        f"{manifests[0]}: F_Q at T = 0.5 K must be a finite number > 0, got 0.0; "
+        "the log-log fit takes ln F_Q",
+    )
+    assert not out.exists()

@@ -200,3 +200,21 @@ class TestFitScaling:
         scaled = fit_scaling(scaled_points)
         assert scaled.delta_q_over_z == pytest.approx(base.delta_q_over_z, rel=1e-12)
         assert scaled.amplitude == pytest.approx(7.0 * base.amplitude, rel=1e-10)
+
+
+@pytest.mark.parametrize("f_q", [math.nan, math.inf, -1.0])
+def test_fit_scaling_names_the_first_bad_temperature(f_q):
+    points = power_law_points(1.0, 0.5, [0.1, 1.0, 10.0])
+    points[1] = QfiPoint(temperature=1.0, f_q=f_q, quadrature_error_estimate=0.0)
+    with pytest.raises(NonPositiveValue) as exc:
+        fit_scaling(points)
+    assert str(exc.value) == (
+        f"F_Q at T = 1 K must be a finite number > 0, got {f_q}; the log-log fit takes ln F_Q"
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compute_qfi_refuses_an_overflowing_model():
+    with pytest.raises(NonPositiveValue) as exc:
+        compute_qfi(lambda w: np.full_like(w, 1e308), t=0.3, omega_max=5.0)
+    assert str(exc.value).startswith("F_Q at T = 0.3 K is not finite")

@@ -8,13 +8,15 @@ PYTHONPATH, and each command runs as ``python -m chainqfi.cli`` in a fresh
 process inside a temporary directory. A tree's digest equals
 ``LC_ALL=C find . -type f | sort | xargs sha256sum | sha256sum`` run in that
 tree. The exit status is 1 when any command fails or writes anything to
-stderr (a warning, say), after that stderr is shown, or when any ``.json``
-file of a tree holds ``NaN`` or ``Infinity``, which are not JSON numbers.
+stderr (a warning, say), after that stderr is shown, when any ``.json``
+file of a tree holds ``NaN`` or ``Infinity``, which are not JSON numbers, or
+when a cell below the header of any ``.csv`` file is not a finite number.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +66,25 @@ def first_json_fault(root: Path) -> str | None:
     return None
 
 
+def _is_finite(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def first_csv_fault(root: Path) -> str | None:
+    """The first cell below the header of a ``.csv`` file under ``root`` that
+    is not a finite number, as ``path: line N: cell``; None when all are."""
+    for path in sorted(root.rglob("*.csv")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines[1:], start=2):
+            bad = next((cell for cell in line.split(",") if not _is_finite(cell)), None)
+            if bad is not None:
+                return f"{path.relative_to(root)}: line {number}: {bad!r} is not a finite number"
+    return None
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src").resolve()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -78,7 +99,7 @@ def main(argv: list[str]) -> int:
                 print(f"{tree}: exit {run.returncode}\n{run.stderr}", file=sys.stderr)
                 return 1
             root = Path(tmp) / args[args.index("--out") + 1]
-            fault = first_json_fault(root)
+            fault = first_json_fault(root) or first_csv_fault(root)
             if fault:
                 print(f"{tree}: {fault}", file=sys.stderr)
                 return 1
