@@ -81,9 +81,15 @@ def file_record(path) -> dict:
     return {"path": str(path), "sha256": sha256_of(path)}
 
 
-def _write_text(path, text: str) -> None:
+def _write_lines(path, lines) -> None:
+    """Write each string of ``lines`` in turn, as UTF-8 with no newline
+    translation."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(lines)
+
+
+def _write_text(path, text: str) -> None:
+    _write_lines(path, (text,))
 
 
 def write_json(path, payload) -> None:
@@ -253,26 +259,39 @@ def _data_line(path, k: int) -> int:
     return next(itertools.islice(rows, k, None))[0]
 
 
+def _loadtxt_table(path, header: list[str]) -> np.ndarray | None:
+    """The data rows under ``header`` parsed by ``np.loadtxt`` from the open
+    file, one line at a time; None where the csv walk must decide."""
+    with open(path, encoding="utf-8") as fh:
+        # loadtxt parses exactly as float() or refuses (quotes, digit
+        # separators, non-ASCII digits, whitespace-only rows), as the decoder
+        # refuses bytes that are not UTF-8; a refusal falls through to the csv
+        # walk, which decides and reports
+        try:
+            if fh.readline() != ",".join(header) + "\n":
+                return None
+            # the csv walk skips blank rows too; with no row left, loadtxt
+            # would warn that the input holds no data
+            rows = itertools.dropwhile(str.isspace, fh)
+            first = next(rows, None)
+            if first is None:
+                return None
+            table = np.loadtxt(
+                itertools.chain((first,), rows), delimiter=",", comments=None,
+                quotechar=None, ndmin=2, dtype=float,
+            )
+        except ValueError:
+            return None
+    return table if table.shape[1] == len(header) and np.isfinite(table).all() else None
+
+
 def _read_table(path, header: list[str]) -> np.ndarray:
     """The data rows under ``header`` as an (n, k) array of finite floats.
     Blank rows are skipped; a fault names its line in the file."""
-    text = _read_text(path)
-    first, _, body = text.partition("\n")
-    if first == ",".join(header) and body.strip():
-        # loadtxt parses exactly as float() or refuses (quotes, digit
-        # separators, non-ASCII digits, whitespace-only rows); a refusal
-        # falls through to the csv walk, which decides and reports
-        try:
-            table = np.loadtxt(
-                body.split("\n"), delimiter=",", comments=None, quotechar=None, ndmin=2,
-                dtype=float,
-            )
-        except ValueError:
-            pass
-        else:
-            if table.shape[1] == len(header) and np.isfinite(table).all():
-                return table
-    rows = _csv_rows(text)
+    table = _loadtxt_table(path, header)
+    if table is not None:
+        return table
+    rows = _csv_rows(_read_text(path))
     line, head = next(rows, (None, None))
     if head is None:
         raise EmptyFile(f"{path} is empty")
@@ -368,20 +387,25 @@ def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
     )
 
 
-def _spectrum_csv_text(grid: SpectrumGrid) -> str:
-    """One row per (E, Q) cell, E outer, each float in its shortest repr."""
+def _spectrum_csv_rows(grid: SpectrumGrid):
+    """The header line, then the lines of one energy row at a time: one line
+    per (E, Q) cell, E outer, each float in its shortest repr."""
     q_reprs = [repr(q) for q in grid.q_axis.tolist()]
-    lines = [",".join(SQE_HEADER) + "\n"]
-    for e, row, err_row in zip(
-        grid.e_axis.tolist(), grid.intensity.tolist(), grid.errors.tolist()
-    ):
+    yield ",".join(SQE_HEADER) + "\n"
+    for e, row, err_row in zip(grid.e_axis.tolist(), grid.intensity, grid.errors):
         e_repr = repr(e)
-        lines += [f"{q},{e_repr},{v!r},{err!r}\n" for q, v, err in zip(q_reprs, row, err_row)]
-    return "".join(lines)
+        yield "".join([
+            f"{q},{e_repr},{v!r},{err!r}\n"
+            for q, v, err in zip(q_reprs, row.tolist(), err_row.tolist())
+        ])
+
+
+def _spectrum_csv_text(grid: SpectrumGrid) -> str:
+    return "".join(_spectrum_csv_rows(grid))
 
 
 def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
-    _write_text(path, _spectrum_csv_text(grid))
+    _write_lines(path, _spectrum_csv_rows(grid))
 
 
 def _resolution_line(e: np.ndarray, fwhm: float) -> np.ndarray:

@@ -83,14 +83,18 @@ class _Axis(NamedTuple):
         """The pixel of ``t`` in axis units (log10 of the value on a log axis)."""
         return self.a + (t / 2 - self.lo / 2) / (self.hi / 2 - self.lo / 2) * (self.b - self.a)
 
-    def __call__(self, v):
-        """The pixel of a value, or of each value of an array. ``math.log10``
+    def units(self, v) -> np.ndarray:
+        """A value, or each value of an array, in axis units. ``math.log10``
         stays, since ``np.log10`` differs from it in the last bit for some
         inputs."""
         v = np.asarray(v, dtype=float)
         if self.log:
             v = np.fromiter(map(math.log10, v.ravel().tolist()), float, v.size).reshape(v.shape)
-        return self.at(v)
+        return v
+
+    def __call__(self, v):
+        """The pixel of a value, or of each value of an array."""
+        return self.at(self.units(v))
 
     def ticks(self) -> list[tuple[float, str]]:
         """(axis units, label) of each tick inside the range."""
@@ -104,6 +108,13 @@ class _Axis(NamedTuple):
         if len(ticks) < 2:  # narrow log range: fall back to linear ticks in log space
             ticks = [(v, _fmt_pow10(v)) for v in nice_ticks(lo, hi, 4)]
         return ticks
+
+
+def _edges(t: np.ndarray) -> np.ndarray:
+    """The cell edges around centres ``t``: the midpoint of each neighbouring
+    pair, and the two outer edges mirrored about the end centres."""
+    mids = 0.5 * (t[1:] + t[:-1])
+    return np.concatenate(([t[0] - (mids[0] - t[0])], mids, [t[-1] + (t[-1] - mids[-1])]))
 
 
 _VIRIDIS = np.array((
@@ -171,9 +182,15 @@ class Figure:
         self._elements.append(("hline", float(y), "#444444", "4 3"))
 
     def cells(self, x_centers, y_centers, values, label=None):
-        """Filled-rectangle map; values normalized over their finite range."""
+        """Filled-rectangle map; values normalized over their finite range.
+        Each axis needs two centres, so that a cell has a width."""
         x = np.asarray(x_centers, dtype=float)
         y = np.asarray(y_centers, dtype=float)
+        for axis, centers in (("x", x), ("y", y)):
+            if centers.size < 2:
+                raise ValueError(
+                    f"a cell map needs at least 2 {axis} centres, got {centers.size}"
+                )
         self._track(x, np.full_like(x, y[0]))
         self._track(np.full_like(y, x[0]), y)
         self._elements.append(("cells", x, y, np.asarray(values, dtype=float), label))
@@ -182,12 +199,6 @@ class Figure:
         self._elements.append(("annotate", str(text), float(x), float(y), "#000000"))
 
     # --- rendering ---
-
-    def _edges(self, centers: np.ndarray) -> np.ndarray:
-        mids = 0.5 * (centers[1:] + centers[:-1])
-        first = centers[0] - (mids[0] - centers[0])
-        last = centers[-1] + (centers[-1] - mids[-1])
-        return np.concatenate(([first], mids, [last]))
 
     def _scales(self) -> tuple[_Axis, _Axis]:
         """The x axis (4 % padding) and the y axis (6 %) over the drawn data."""
@@ -198,32 +209,39 @@ class Figure:
                        self.margin_top),
         )
 
-    def _cell_rects(self, px, py, xc, yc, vals) -> list[str]:
-        """One <rect> per finite cell, rows outer, coloured over the finite
-        value range; each edge is mapped and formatted once."""
+    def _cell_rects(self, px, py, xc, yc, vals):
+        """The <rect> lines of one cell row at a time, rows outer: one <rect>
+        per finite cell, coloured over the finite value range. Edges lie
+        halfway between centres in axis units, so geometrically on a log
+        axis; each is mapped and formatted once. Only the colour codes and
+        columns of the finite cells outlive the call."""
         finite = np.isfinite(vals)
         v = vals[finite]
         vmin = float(v.min()) if v.size else 0.0
         vmax = float(v.max()) if v.size else 1.0
         span = (vmax - vmin) or 1.0
-        xe = px(self._edges(xc)).tolist()
-        ye = py(self._edges(yc)).tolist()
+        xe = px.at(_edges(px.units(xc))).tolist()
+        ye = py.at(_edges(py.units(yc))).tolist()
         xs = [(_fmt(min(a, b)), _fmt(abs(b - a))) for a, b in zip(xe, xe[1:])]
         ys = [(_fmt(min(a, b)), _fmt(abs(b - a))) for a, b in zip(ye, ye[1:])]
-        # viridis: linear between the two stops around v, truncated to 0..255
-        v = np.clip((v - vmin) / span, 0.0, 1.0)
-        pos = v * (len(_VIRIDIS) - 1)
+        # viridis: linear between the two stops around v, truncated to 0..255,
+        # one channel at a time
+        pos = np.clip((v - vmin) / span, 0.0, 1.0) * (len(_VIRIDIS) - 1)
         k = np.minimum(pos.astype(int), len(_VIRIDIS) - 2)
-        f = (pos - k)[:, None]
-        rgb = (255 * ((1 - f) * _VIRIDIS[k] + f * _VIRIDIS[k + 1])).astype(int)
-        codes = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-        rows, cols = np.nonzero(finite)
-        return [
-            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="#{c:06x}"/>'
-            for (y, h), (x, w), c in zip(
-                [ys[i] for i in rows.tolist()], [xs[j] for j in cols.tolist()], codes.tolist()
-            )
-        ]
+        f = pos - k
+        codes = np.zeros(k.size, dtype=int)
+        for lo, hi in zip(_VIRIDIS[:-1].T, _VIRIDIS[1:].T):
+            codes = codes << 8 | (255 * ((1 - f) * lo[k] + f * hi[k])).astype(int)
+        cols = np.nonzero(finite)[1]
+        ends = np.cumsum(finite.sum(axis=1)).tolist()
+        return (
+            "\n".join([
+                f'<rect x="{xs[j][0]}" y="{y}" width="{xs[j][1]}" height="{h}" fill="#{c:06x}"/>'
+                for j, c in zip(cols[start:end].tolist(), codes[start:end].tolist())
+            ])
+            for (y, h), start, end in zip(ys, [0, *ends], ends)
+            if end > start
+        )
 
     def _marks(self, el, pxy) -> list[str]:
         """The SVG of one line, fill or points element; lines and fills need
@@ -346,7 +364,6 @@ class Figure:
             out.append(
                 f'<text x="{x1 - 134}" y="{ly}" font-size="11">{label}</text>'
             )
-        # the closing tag carries the final newline, so the text is built once
-        out.append("</svg>\n")
+        out.append("</svg>")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out))
+            fh.writelines(piece + "\n" for piece in out)

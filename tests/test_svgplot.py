@@ -44,21 +44,29 @@ def reference_colormap(v: float) -> str:
     return f"#{int(255 * r):02x}{int(255 * g):02x}{int(255 * b):02x}"
 
 
+def reference_edges(centers, log):
+    """Cell edges in axis units (log10 of the value on a log axis), one at a
+    time: halfway between neighbouring centres, the outer two mirrored."""
+    t = [math.log10(c) if log else float(c) for c in centers]
+    mids = [0.5 * (a + b) for a, b in zip(t, t[1:])]
+    return [t[0] - (mids[0] - t[0]), *mids, t[-1] + (t[-1] - mids[-1])]
+
+
 def reference_cell_rects(self, px, py, xc, yc, vals):
     """The scalar loop: two px and two py calls and one colour per cell."""
     finite = vals[np.isfinite(vals)]
     vmin = float(finite.min()) if finite.size else 0.0
     vmax = float(finite.max()) if finite.size else 1.0
     span = (vmax - vmin) or 1.0
-    xe, ye = self._edges(xc), self._edges(yc)
+    xe, ye = reference_edges(xc, self.xlog), reference_edges(yc, self.ylog)
     out = []
     for i in range(yc.size):
         for j in range(xc.size):
             v = vals[i, j]
             if not np.isfinite(v):
                 continue
-            cx0, cx1 = px(xe[j]), px(xe[j + 1])
-            cy0, cy1 = py(ye[i]), py(ye[i + 1])
+            cx0, cx1 = px.at(xe[j]), px.at(xe[j + 1])
+            cy0, cy1 = py.at(ye[i]), py.at(ye[i + 1])
             out.append(
                 f'<rect x="{_fmt(min(cx0, cx1))}" y="{_fmt(min(cy0, cy1))}" '
                 f'width="{_fmt(abs(cx1 - cx0))}" height="{_fmt(abs(cy1 - cy0))}" '
@@ -116,9 +124,8 @@ CASES = {
                       {"xlog": True, "ylog": True}),
     "descending x": (np.linspace(1.4, 0.2, 9), np.linspace(-0.1, 1.0, 7), SMOOTH, {}),
     "descending y": (np.linspace(0.2, 1.4, 9), np.linspace(1.0, -0.1, 7), SMOOTH, {}),
-    # a single centre gives no cell width: render raises IndexError, as before
-    "1 x N": (np.linspace(0.2, 1.4, 9), np.array([0.5]), SMOOTH[:1], {}),
-    "N x 1": (np.array([0.5]), np.linspace(-0.1, 1.0, 7), SMOOTH[:, :1], {}),
+    "decades on a log axis": (np.array([1.0, 10.0, 100.0]), np.linspace(-0.1, 1.0, 7),
+                              SMOOTH[:, :3], {"xlog": True}),
     "2 x N": (np.linspace(0.2, 1.4, 9), np.array([0.5, 0.6]), SMOOTH[:2], {}),
     "constant map": (np.linspace(0.2, 1.4, 9), np.linspace(-0.1, 1.0, 7),
                      np.full((7, 9), 3.25), {}),
@@ -131,10 +138,40 @@ CASES = {
 def test_cell_map_matches_the_scalar_loop(case, tmp_path, monkeypatch):
     x, y, values, figure_kw = CASES[case]
     rendered = assert_same_render(cell_map(x, y, values, **figure_kw), tmp_path, monkeypatch)
-    if case in ("1 x N", "N x 1"):
-        assert rendered == "IndexError"
-    else:
-        assert n_cell_rects(rendered) == np.isfinite(values).sum()
+    assert n_cell_rects(rendered) == np.isfinite(values).sum()
+
+
+@pytest.mark.parametrize(
+    "x, y, axis",
+    [
+        (np.linspace(0.2, 1.4, 9), np.array([0.5]), "y"),
+        (np.array([0.5]), np.linspace(-0.1, 1.0, 7), "x"),
+    ],
+    ids=["1 x N", "N x 1"],
+)
+def test_cells_refuse_a_single_centre(x, y, axis):
+    with pytest.raises(ValueError, match=f"^a cell map needs at least 2 {axis} centres, got 1$"):
+        Figure().cells(x, y, np.ones((y.size, x.size)))
+
+
+@pytest.mark.parametrize("log", ["xlog", "ylog"])
+def test_log_axis_edges_are_geometric_midpoints(tmp_path, log):
+    """Centres 1, 10 and 100 on a log axis have their edges at 10**-0.5,
+    10**0.5, 10**1.5 and 10**2.5; a linear extrapolation put the first at
+    -4.5, whose log10 does not exist."""
+    decades, other = np.array([1.0, 10.0, 100.0]), np.array([0.0, 1.0])
+    x, y = (decades, other) if log == "xlog" else (other, decades)
+    fig = Figure(**{log: True})
+    fig.cells(x, y, np.arange(6.0).reshape(y.size, x.size))
+    fig.render(tmp_path / "map.svg")
+    axis = fig._scales()[log == "ylog"]
+    pixels = [axis.at(t) for t in (-0.5, 0.5, 1.5, 2.5)]
+    expected = {(_fmt(min(a, b)), _fmt(abs(b - a))) for a, b in zip(pixels, pixels[1:])}
+    rects = re.findall(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)" fill="#',
+                       (tmp_path / "map.svg").read_text())
+    k = 0 if log == "xlog" else 1
+    assert len(rects) == 6
+    assert {(r[k], r[k + 2]) for r in rects} == expected
 
 
 def test_cell_map_under_other_elements(tmp_path, monkeypatch):
