@@ -91,6 +91,28 @@ def _bounded(lo: float | None, hi: float | None, start: float):
     return math.log(hi - start), lambda u: hi - math.exp(u), lambda u: -math.exp(u)
 
 
+def _full_column_rank(a: np.ndarray) -> bool:
+    """Whether ``a`` has full column rank by the rule of
+    ``np.linalg.matrix_rank``, singular values above max(m, n) eps sigma_max,
+    without an SVD: two-pass Gram-Schmidt must leave each column a norm above
+    that tolerance, with the largest column norm for sigma_max. ``a`` is
+    first scaled to a largest entry of 1, so that no square overflows."""
+    scale = np.abs(a).max(initial=0.0)
+    if not scale > 0:
+        return False
+    a = a / scale
+    tol = max(a.shape) * np.finfo(float).eps * np.sqrt((a * a).sum(axis=0)).max()
+    basis = np.empty((a.shape[0], 0))
+    for column in a.T:
+        for _ in range(2):
+            column = column - basis @ (basis.T @ column)
+        norm = math.sqrt(column @ column)
+        if not norm > tol:
+            return False
+        basis = np.column_stack((basis, column / norm))
+    return True
+
+
 def least_squares(
     residual_fn: Callable[[Mapping[str, float]], np.ndarray],
     initial: Mapping[str, float],
@@ -177,7 +199,7 @@ def least_squares(
         jac = jacobian(u, r)
         if not np.all(np.isfinite(jac)):
             raise SingularJacobian("Jacobian contains non-finite entries")
-        if iterations == 1 and np.linalg.matrix_rank(jac) < n_free:
+        if iterations == 1 and not _full_column_rank(jac):
             u, iterations = _nelder_mead(lambda v: float((rv := evaluate(v)) @ rv), u)
             r = evaluate(u)
             cost = float(r @ r)

@@ -82,19 +82,14 @@ def file_record(path) -> dict:
 
 
 def _write_lines(path, lines) -> None:
-    """Write each string of ``lines`` in turn, as UTF-8 with no newline
-    translation."""
+    """Write each string of ``lines`` in turn: UTF-8, newlines as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
 
 
-def _write_text(path, text: str) -> None:
-    _write_lines(path, (text,))
-
-
 def write_json(path, payload) -> None:
     """``payload`` as JSON with sorted keys, 2-space indent and a final newline."""
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def csv_table_text(header: Sequence[str], *columns) -> str:
@@ -117,7 +112,7 @@ def write_outputs(outdir, outputs: dict, stamp: str | None) -> None:
         elif isinstance(content, SpectrumGrid):
             write_spectrum_csv(path, content)
         elif isinstance(content, str):
-            _write_text(path, content)
+            _write_lines(path, [content])
         else:
             write_json(path, content)
 
@@ -343,7 +338,7 @@ def read_susceptibility_csv(path) -> SusceptibilityCurve:
 
 
 def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> None:
-    _write_text(path, csv_table_text(CHI_HEADER, curve.temperatures, curve.chi, curve.sigma))
+    _write_lines(path, [csv_table_text(CHI_HEADER, curve.temperatures, curve.chi, curve.sigma)])
 
 
 def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
@@ -441,6 +436,27 @@ def integrate_q_window(grid: SpectrumGrid, q_min: float, q_max: float) -> Energy
     )
 
 
+def _weighted_line_fit(g: np.ndarray, v: np.ndarray, weights: np.ndarray):
+    """(amplitude, constant) of the weighted least-squares fit of ``v`` by
+    amplitude * ``g`` + constant, from sums centred on the weighted means.
+    The weights are scaled to a largest of 1 before squaring, so that no
+    sigma overflows or underflows. With every weight 0 there is nothing to
+    fit, (0, 0); a ``g`` flat to rounding fits no better than the constant
+    alone, (0, the weighted mean of ``v``)."""
+    top = weights.max()
+    if not top > 0:
+        return 0.0, 0.0
+    w2 = (weights / top) ** 2
+    total = w2.sum()
+    g_mean, v_mean = (w2 @ g) / total, (w2 @ v) / total
+    dg = g - g_mean
+    sgg = float(w2 @ (dg * dg))
+    if sgg <= total * (g.size * np.finfo(float).eps * np.abs(g).max()) ** 2:
+        return 0.0, float(v_mean)
+    amplitude = float(w2 @ (dg * (v - v_mean))) / sgg
+    return amplitude, float(v_mean - amplitude * g_mean)
+
+
 def subtract_elastic_line(
     cut: EnergyCut,
     resolution_fwhm: float,
@@ -470,10 +486,9 @@ def subtract_elastic_line(
     sel = window | anchor
 
     gauss = _resolution_line(e, resolution_fwhm)
-    weights = fitter.sigma_weights(cut.errors[sel])
-    design = np.column_stack((gauss[sel], np.ones(np.count_nonzero(sel))))
-    coeffs, *_ = np.linalg.lstsq(design * weights[:, None], cut.values[sel] * weights, rcond=None)
-    amplitude, constant = float(coeffs[0]), float(coeffs[1])
+    amplitude, constant = _weighted_line_fit(
+        gauss[sel], cut.values[sel], fitter.sigma_weights(cut.errors[sel])
+    )
     if record is not None:
         record["elastic_amplitude"] = amplitude
         record["elastic_constant"] = constant

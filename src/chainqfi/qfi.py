@@ -192,9 +192,11 @@ def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
 
     Returns the exponent delta_q_over_z = -slope (and delta_q = -slope*z),
     the amplitude exp(intercept), the 2x2 covariance of (slope, intercept)
-    and R^2. Uniform rescaling of all F_Q values moves only the amplitude.
-    The first F_Q that is not a finite number > 0 is refused with
-    :class:`NonPositiveValue` naming its temperature.
+    and R^2, all from sums over ln T centred on its mean. Uniform rescaling
+    of all F_Q values moves only the amplitude. The first F_Q that is not a
+    finite number > 0 is refused with :class:`NonPositiveValue` naming its
+    temperature; fewer than two distinct temperatures, with a ValueError
+    naming them.
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points for the scaling fit, got {len(points)}")
@@ -211,15 +213,25 @@ def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
 
     x = np.log(temps)
     y = np.log(values)
-    design = np.column_stack((x, np.ones_like(x)))
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    resid = y - design @ coeffs
+    n = len(points)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    sxx = float(dx @ dx)
+    if not sxx > 0:
+        raise ValueError(
+            "the scaling fit needs at least 2 distinct temperatures, got only "
+            f"T = {', '.join(f'{t:g}' for t in sorted(set(temps.tolist())))} K"
+        )
+    slope = float(dx @ dy) / sxx
+    intercept = float(y_mean - slope * x_mean)
+    resid = y - (slope * x + intercept)
     rss = float(resid @ resid)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    dof = len(points) - 2
-    sigma2 = rss / dof if dof > 0 else 0.0
-    covariance = sigma2 * np.linalg.inv(design.T @ design)
+    tss = float(dy @ dy)
+    sigma2 = rss / (n - 2)
+    # the inverse of the normal matrix [[sum x^2, sum x], [sum x, n]]
+    covariance = sigma2 * np.array(
+        [[1.0 / sxx, -x_mean / sxx], [-x_mean / sxx, 1.0 / n + x_mean * x_mean / sxx]]
+    )
     r_squared = 1.0 if tss == 0 else max(0.0, 1.0 - rss / tss)
     return ScalingFit(
         delta_q_over_z=-slope,

@@ -1254,3 +1254,22 @@ def test_zero_f_q_names_its_temperature_and_manifest(tmp_path, capsys):
         "the log-log fit takes ln F_Q",
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["model", "data"])
+def test_qfi_refuses_one_distinct_temperature_by_name(tmp_path, capsys, mode):
+    """Three equal temperatures leave the scaling fit one abscissa: a
+    ValueError (exit 2) naming it, not numpy's 'Singular matrix'."""
+    if mode == "model":
+        argv, named = ["qfi", "--model", "--temps", "0.2,0.2,0.2"], "0.2"
+    else:
+        manifest = make_dataset(tmp_path / "data", temps=(0.5,))["spectra"][0]["manifest"]
+        argv, named = ["qfi", "--data", manifest, manifest, manifest], "0.5"
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = single_error(capsys)
+    assert (err["error"], err["message"]) == (
+        "ValueError",
+        f"the scaling fit needs at least 2 distinct temperatures, got only T = {named} K",
+    )
+    assert not out.exists()

@@ -243,3 +243,52 @@ def test_iteration_cap_is_reported(monkeypatch):
     assert res.iterations == 1
     assert res.converged is False
     assert res.message == "maximum iterations reached"
+
+
+def _rank_cases():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(9, 3))
+    duplicated = a.copy()
+    duplicated[:, 2] = duplicated[:, 0]
+    zero = a.copy()
+    zero[:, 1] = 0.0
+    near = a[:, :2].copy()
+    near[:, 1] = near[:, 0] + 1e-8 * rng.normal(size=9)
+    one_large, one_small = a.copy(), a.copy()
+    one_large[:, 0] *= 1e200
+    one_small[:, 0] *= 1e-200
+    return {
+        "full rank": (a, True),
+        "duplicated column": (duplicated, False),
+        "zero column": (zero, False),
+        "all columns x 1e200": (1e200 * a, True),
+        "all columns x 1e-200": (1e-200 * a, True),
+        "one column x 1e200": (one_large, False),
+        "one column x 1e-200": (one_small, False),
+        "duplicated column x 1e200": (1e200 * duplicated, False),
+        "near-collinear pair, full rank": (near, True),
+        "all zero": (np.zeros((4, 2)), False),
+    }
+
+
+RANK_CASES = _rank_cases()
+
+
+@pytest.mark.parametrize("case", list(RANK_CASES))
+def test_starting_rank_test_decides_as_matrix_rank(case):
+    """The Gram-Schmidt rank test agrees with numpy's SVD-based rule."""
+    a, full = RANK_CASES[case]
+    assert bool(np.linalg.matrix_rank(a) == a.shape[1]) == full
+    assert fitter._full_column_rank(a) == full
+
+
+def test_near_collinear_full_rank_start_stays_on_levenberg_marquardt():
+    # columns 1 and x differ by at most 1e-3: condition number about 1e4
+    x = np.linspace(1.0, 1.001, 9)
+
+    def residuals(p):
+        return p["a"] + p["b"] * x - (1.0 + 2.0 * x)
+
+    res = least_squares(residuals, {"a": 0.0, "b": 0.0})
+    assert "nelder-mead" not in res.message
+    assert res.converged

@@ -270,6 +270,64 @@ class TestSubtractElasticLine:
         out = subtract_elastic_line(cut, FWHM)
         np.testing.assert_array_equal(out.errors, cut.errors)
 
+    @staticmethod
+    def noisy_cut(scale):
+        rng = np.random.default_rng(6)
+        cut = elastic_cut(300.0, 4.0, extra=lambda e: rng.normal(size=e.size))
+        return EnergyCut(cut.e_axis, cut.values, scale * rng.uniform(0.2, 2.0, cut.e_axis.size),
+                         0.5)
+
+    def test_fit_matches_the_lstsq_oracle(self):
+        cut = self.noisy_cut(1.0)
+        record = {}
+        subtract_elastic_line(cut, FWHM, record=record)
+        e = cut.e_axis
+        sel = (np.abs(e) <= 2 * FWHM) | (e >= np.sort(e)[-13])
+        w = 1.0 / cut.errors[sel]
+        design = np.column_stack((np.exp(-0.5 * (e[sel] / SIGMA_G) ** 2), np.ones(sel.sum())))
+        (amp, const), *_ = np.linalg.lstsq(design * w[:, None], cut.values[sel] * w, rcond=None)
+        assert record["elastic_amplitude"] == pytest.approx(amp, rel=1e-12)
+        assert record["elastic_constant"] == pytest.approx(const, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_no_sigma_overflows_its_weight(self, scale):
+        """Weights 1/sigma of 1e170 square past the float range unless they
+        are scaled first; only their ratios matter."""
+        fits = []
+        for s in (1.0, scale):
+            record = {}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                subtract_elastic_line(self.noisy_cut(s), FWHM, record=record)
+            fits.append(record)
+        assert fits[1]["elastic_amplitude"] == pytest.approx(fits[0]["elastic_amplitude"],
+                                                             rel=1e-12)
+        assert fits[1]["elastic_constant"] == pytest.approx(fits[0]["elastic_constant"],
+                                                            rel=1e-12)
+
+    def test_every_sigma_infinite_fits_nothing(self):
+        cut = self.noisy_cut(1.0)
+        cut = EnergyCut(cut.e_axis, cut.values, np.full_like(cut.values, np.inf), 0.5)
+        record = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = subtract_elastic_line(cut, FWHM, record=record)
+        assert record == {"elastic_amplitude": 0.0, "elastic_constant": 0.0}
+        np.testing.assert_array_equal(out.values, cut.values)
+
+    def test_line_flat_over_the_window_leaves_the_constant(self):
+        """A resolution so wide that the line is 1 at every bin: the constant
+        alone fits, as well as any split with the line would."""
+        cut = self.noisy_cut(1.0)
+        record = {}
+        out = subtract_elastic_line(cut, 1e10, record=record)
+        w2 = 1.0 / cut.errors**2
+        assert record["elastic_amplitude"] == 0.0
+        assert record["elastic_constant"] == pytest.approx(
+            (w2 @ cut.values) / w2.sum(), rel=1e-12
+        )
+        np.testing.assert_allclose(out.values, cut.values - record["elastic_constant"])
+
 
 class TestManifest:
     def test_save_load_round_trip(self, tmp_path):

@@ -218,3 +218,29 @@ def test_compute_qfi_refuses_an_overflowing_model():
     with pytest.raises(NonPositiveValue) as exc:
         compute_qfi(lambda w: np.full_like(w, 1e308), t=0.3, omega_max=5.0)
     assert str(exc.value).startswith("F_Q at T = 0.3 K is not finite")
+
+
+def test_fit_scaling_matches_the_lstsq_oracle():
+    """The centred-sum closed form against numpy's least squares and the
+    inverse normal matrix."""
+    rng = np.random.default_rng(4)
+    temps = np.geomspace(0.03, 9.0, 7)
+    points = [QfiPoint(t, 1.7 * t**-0.6 * math.exp(0.05 * rng.normal()), 0.0) for t in temps]
+    fit = fit_scaling(points, z=1.0)
+    design = np.column_stack((np.log(temps), np.ones(temps.size)))
+    y = np.log([p.f_q for p in points])
+    (slope, intercept), (rss,), *_ = np.linalg.lstsq(design, y, rcond=None)
+    covariance = rss / (temps.size - 2) * np.linalg.inv(design.T @ design)
+    assert fit.delta_q_over_z == pytest.approx(-slope, rel=1e-13)
+    assert fit.amplitude == pytest.approx(math.exp(intercept), rel=1e-13)
+    np.testing.assert_allclose(fit.covariance, covariance, rtol=1e-12)
+    assert fit.r_squared == pytest.approx(1.0 - rss / np.sum((y - y.mean()) ** 2), rel=1e-13)
+
+
+@pytest.mark.parametrize("temps, named", [([0.2, 0.2, 0.2], "0.2"), ([3.0] * 5, "3")])
+def test_fit_scaling_refuses_one_distinct_temperature(temps, named):
+    with pytest.raises(ValueError) as exc:
+        fit_scaling(power_law_points(1.0, 0.5, temps))
+    assert str(exc.value) == (
+        f"the scaling fit needs at least 2 distinct temperatures, got only T = {named} K"
+    )

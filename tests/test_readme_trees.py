@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from chainqfi.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +42,18 @@ def test_a_csv_cell_that_is_not_finite_is_named(tmp_path, cell):
 def test_finite_csv_cells_pass(tmp_path):
     (tmp_path / "a.csv").write_text("T_K,F_Q,err\n0.1,2.0,1e-300\n5e-324,-0.0,1e308\n")
     assert _tool().first_csv_fault(tmp_path) is None
+
+
+def test_no_command_runs_an_svd(tmp_path, monkeypatch):
+    """The six README commands in process, with numpy's SVD-based routines
+    made to raise: the first SVD in a process maps megabytes of LAPACK."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD-based numpy.linalg routine ran")
+
+    for name in ("lstsq", "svd", "matrix_rank", "qr", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.linalg._linalg, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    for tree, args in _tool().COMMANDS:
+        assert main([*args, "--deterministic"]) == 0, tree
