@@ -480,10 +480,9 @@ def subtract_elastic_line(
         raise ElasticWindowMissing(
             f"fewer than 3 bins within |E| <= {2 * resolution_fwhm:g} meV"
         )
-    n_anchor = max(1, int(math.ceil(0.1 * e.size)))
-    anchor = np.zeros_like(window)
-    anchor[np.argsort(e)[-n_anchor:]] = True
-    sel = window | anchor
+    # the energy axis is increasing, so the highest-E bins are the last
+    sel = window.copy()
+    sel[-max(1, int(math.ceil(0.1 * e.size))):] = True
 
     gauss = _resolution_line(e, resolution_fwhm)
     amplitude, constant = _weighted_line_fit(

@@ -27,6 +27,7 @@ __all__ = ["QfiPoint", "ScalingFit", "qfi_integrand", "compute_qfi", "fit_scalin
 # fraction of the upper end of the omega interval counted as "near the cutoff"
 _TAIL_FRACTION_OF_RANGE = 0.1
 _TAIL_REPORT_THRESHOLD = 0.01
+_FOUR_OVER_PI = 4.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -73,17 +74,6 @@ def _warn_if_truncated(tail: float) -> None:
         )
 
 
-def _trapezoid_tail_fraction(e: np.ndarray, integrand: np.ndarray, omega_max: float) -> float:
-    total = np.trapezoid(integrand, e)
-    if total <= 0:
-        return 0.0
-    cut = (1.0 - _TAIL_FRACTION_OF_RANGE) * omega_max
-    mask = e >= cut
-    if np.count_nonzero(mask) < 2:
-        return 0.0
-    return float(np.trapezoid(integrand[mask], e[mask]) / total)
-
-
 def _qfi_tabulated(cut: EnergyCut, omega_max: float) -> QfiPoint:
     if cut.e_axis[-1] < omega_max:
         raise GridTooCoarse(
@@ -112,13 +102,18 @@ def _qfi_tabulated(cut: EnergyCut, omega_max: float) -> QfiPoint:
         e = np.concatenate(([0.0], e))
         chi = np.concatenate(([0.0], chi))
     integrand = qfi_integrand(e, cut.temperature, chi)
-    f_q = (4.0 / math.pi) * float(np.trapezoid(integrand, e))
+    integral = float(np.trapezoid(integrand, e))
+    f_q = _FOUR_OVER_PI * integral
     # error estimate: compare against the half-resolution trapezoid
     coarse_idx = np.arange(0, e.size, 2)
     if coarse_idx[-1] != e.size - 1:
         coarse_idx = np.concatenate((coarse_idx, [e.size - 1]))
-    f_half = (4.0 / math.pi) * float(np.trapezoid(integrand[coarse_idx], e[coarse_idx]))
-    tail = _trapezoid_tail_fraction(e, integrand, omega_max)
+    f_half = _FOUR_OVER_PI * float(np.trapezoid(integrand[coarse_idx], e[coarse_idx]))
+    # the tail is the top 10% of the omega range, if it holds two bins
+    top = e >= (1.0 - _TAIL_FRACTION_OF_RANGE) * omega_max
+    tail = 0.0
+    if integral > 0 and np.count_nonzero(top) >= 2:
+        tail = float(np.trapezoid(integrand[top], e[top])) / integral
     _warn_if_truncated(tail)
     return QfiPoint(
         temperature=cut.temperature,
@@ -140,11 +135,10 @@ def _qfi_model(chi_fn: Callable, t: float, omega_max: float) -> QfiPoint:
     )
     tail = math.fsum(result.values[result.lo >= cut]) / result.value if result.value > 0 else 0.0
     _warn_if_truncated(tail)
-    scale = 4.0 / math.pi
     return QfiPoint(
         temperature=t,
-        f_q=scale * result.value,
-        quadrature_error_estimate=scale * result.error,
+        f_q=_FOUR_OVER_PI * result.value,
+        quadrature_error_estimate=_FOUR_OVER_PI * result.error,
         clipped_count=0,
         tail_fraction=float(tail),
     )

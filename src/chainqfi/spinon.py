@@ -70,45 +70,37 @@ def continuum_bounds(q_axis, j_mev: float, c: float) -> ContinuumBounds:
     return ContinuumBounds(q_axis=np.asarray(q_axis, dtype=float), lower=lower, upper=upper)
 
 
-def _derivative_weights(x: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+def _derivative_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Three-point second-order first-derivative stencils on a possibly
-    nonuniform grid: (index window, weights) per output point."""
-    n = x.size
-    out = []
-    for i in range(n):
-        if i == 0:
-            j = 0
-        elif i == n - 1:
-            j = n - 3
-        else:
-            j = i - 1
-        x0, x1, x2 = x[j], x[j + 1], x[j + 2]
-        xi = x[i]
-        # derivative of the Lagrange interpolating parabola at xi
-        w0 = (2 * xi - x1 - x2) / ((x0 - x1) * (x0 - x2))
-        w1 = (2 * xi - x0 - x2) / ((x1 - x0) * (x1 - x2))
-        w2 = (2 * xi - x0 - x1) / ((x2 - x0) * (x2 - x1))
-        out.append((slice(j, j + 3), np.array([w0, w1, w2])))
-    return out
+    nonuniform grid: the start j of each point's window x[j:j + 3] (central
+    in the interior, one-sided at the two edges), and an (n, 3) array whose
+    row i weights that window to give the derivative at x[i]."""
+    start = np.clip(np.arange(x.size) - 1, 0, x.size - 3)
+    x0, x1, x2 = x[start], x[start + 1], x[start + 2]
+    # derivative at x of the Lagrange basis polynomial of node a, nodes (a, b, c)
+    nodes = ((x0, x1, x2), (x1, x0, x2), (x2, x0, x1))
+    weights = np.stack([(2 * x - b - c) / ((a - b) * (a - c)) for a, b, c in nodes], axis=1)
+    return start, weights
 
 
 def powder_to_1d(grid: SpectrumGrid) -> SpectrumGrid:
-    """Recover the single-crystal-like 1D map from a powder-averaged grid."""
+    """Recover the single-crystal-like 1D map from a powder-averaged grid:
+    column i is S_i + Q_i * (S[:, j:j + 3] @ w) for row i of ``_derivative_weights``."""
     q = grid.q_axis
     if q.size < 3:
         raise GridTooCoarse(
             f"powder-to-1D needs at least 3 momentum points, got {q.size}; "
             "supply a grid with finer momentum binning"
         )
-    stencils = _derivative_weights(q)
+    start, weights = _derivative_weights(q)
     out = np.empty_like(grid.intensity)
     out_err = np.empty_like(grid.errors)
-    for i, (window, w) in enumerate(stencils):
-        out[:, i] = grid.intensity[:, i] + q[i] * (grid.intensity[:, window] @ w)
+    for i, (j, w) in enumerate(zip(start.tolist(), weights)):
+        out[:, i] = grid.intensity[:, i] + q[i] * (grid.intensity[:, j : j + 3] @ w)
         # combined coefficients of S_j in S_i + Q_i * sum_j w_j S_j
         coeff = q[i] * w
-        coeff[i - window.start] += 1.0
-        out_err[:, i] = np.sqrt((grid.errors[:, window] ** 2) @ (coeff**2))
+        coeff[i - j] += 1.0
+        out_err[:, i] = np.sqrt((grid.errors[:, j : j + 3] ** 2) @ (coeff**2))
     return replace(grid, intensity=out, errors=out_err)
 
 
