@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .core import DEFAULT_UNITS, EnergyCut, _positive, _temperature
+from .core import DEFAULT_UNITS, EnergyCut, _positive, _temperature, _temperatures
 from .errors import GridTooCoarse, NegativeChiImagWarning, NonPositiveValue, TruncationWarning
 
 __all__ = ["QfiPoint", "ScalingFit", "qfi_integrand", "compute_qfi", "fit_scaling"]
@@ -187,23 +187,22 @@ def fit_scaling(points: Sequence[QfiPoint], z: float = 1.0) -> ScalingFit:
     Returns the exponent delta_q_over_z = -slope (and delta_q = -slope*z),
     the amplitude exp(intercept), the 2x2 covariance of (slope, intercept)
     and R^2, all from sums over ln T centred on its mean. Uniform rescaling
-    of all F_Q values moves only the amplitude. The first F_Q that is not a
-    finite number > 0 is refused with :class:`NonPositiveValue` naming its
-    temperature; fewer than two distinct temperatures, with a ValueError
-    naming them.
+    of all F_Q values moves only the amplitude. The first temperature that
+    is not a finite number > 0 is refused with
+    :class:`NonPositiveTemperature`; then the first such F_Q, with
+    :class:`NonPositiveValue` naming its temperature; fewer than two
+    distinct temperatures, with a ValueError naming them.
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points for the scaling fit, got {len(points)}")
     _positive(z, "dynamic critical exponent z")
-    temps = np.array([p.temperature for p in points], dtype=float)
+    temps = _temperatures([p.temperature for p in points])
     values = np.array([p.f_q for p in points], dtype=float)
     for p in points:
         try:
             _positive(p.f_q, f"F_Q at T = {p.temperature:g} K")
         except ValueError as exc:
             raise NonPositiveValue(f"{exc}; the log-log fit takes ln F_Q") from None
-    if np.any(temps <= 0):
-        raise NonPositiveValue("all temperatures must be positive for the log-log fit")
 
     x = np.log(temps)
     y = np.log(values)

@@ -120,6 +120,11 @@ def forward_powder_average(
     """
     q = np.asarray(q_axis, dtype=float)
     e = np.asarray(e_axis, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        raise ValueError(
+            f"q_axis must be finite for the powder average, got {q[bad[0]]} at entry {bad[0]}"
+        )
     if np.any(q <= 0):
         raise ValueError("q_axis must be strictly positive for the powder average")
     s_nodes = quadrature.array_function(s_1d)

@@ -183,14 +183,19 @@ class Figure:
 
     def cells(self, x_centers, y_centers, values, label=None):
         """Filled-rectangle map; values normalized over their finite range.
-        Each axis needs two centres, so that a cell has a width."""
+        Each axis needs two centres, so that a cell has a width, and each
+        centre must be finite, and > 0 on a log axis."""
         x = np.asarray(x_centers, dtype=float)
         y = np.asarray(y_centers, dtype=float)
-        for axis, centers in (("x", x), ("y", y)):
+        for axis, centers, log in (("x", x, self.xlog), ("y", y, self.ylog)):
             if centers.size < 2:
                 raise ValueError(
                     f"a cell map needs at least 2 {axis} centres, got {centers.size}"
                 )
+            bad = ~np.isfinite(centers) | (log & (centers <= 0))
+            if bad.any():
+                rule = "finite and > 0 on a log axis" if log else "finite"
+                raise ValueError(f"{axis} centres must be {rule}, got {centers[bad][0]}")
         self._track(x, np.full_like(x, y[0]))
         self._track(np.full_like(y, x[0]), y)
         self._elements.append(("cells", x, y, np.asarray(values, dtype=float), label))

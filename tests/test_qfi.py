@@ -7,6 +7,7 @@ from chainqfi.core import DEFAULT_UNITS, EnergyCut
 from chainqfi.errors import (
     GridTooCoarse,
     NegativeChiImagWarning,
+    NonPositiveTemperature,
     NonPositiveValue,
     TruncationWarning,
 )
@@ -244,3 +245,14 @@ def test_fit_scaling_refuses_one_distinct_temperature(temps, named):
     assert str(exc.value) == (
         f"the scaling fit needs at least 2 distinct temperatures, got only T = {named} K"
     )
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -0.2])
+def test_fit_scaling_refuses_a_bad_temperature(bad):
+    """Through the one temperature rule of ``core``: an infinite or NaN
+    temperature is not counted as a distinct one, and T <= 0 is not a
+    bad F_Q."""
+    points = [QfiPoint(t, 1.0, 0.0) for t in (0.1, bad, 0.4)]
+    with pytest.raises(NonPositiveTemperature) as exc:
+        fit_scaling(points)
+    assert str(exc.value) == f"temperature must be a finite number > 0, got {bad}"

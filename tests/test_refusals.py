@@ -2,14 +2,16 @@
 asserts its exit code or exception class and its message."""
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chainqfi.cli import main
-from chainqfi.core import ChainParameters, SpectrumGrid
+from chainqfi.core import ChainParameters, EnergyCut, SpectrumGrid, mev_to_kelvin
 from chainqfi.dynamics import StarykhParams, t0_feasible_interval
+from chainqfi.errors import AxisNotMonotone, NoInteriorMaximum, SingularJacobian
 from chainqfi.fitter import least_squares
 from chainqfi.pipeline_io import (
     SynthConfig,
@@ -142,6 +144,27 @@ def test_forward_powder_average_refuses_nonpositive_q(q_axis):
     assert str(exc.value) == "q_axis must be strictly positive for the powder average"
 
 
+@pytest.mark.parametrize(
+    "q_axis, entry, value",
+    [([0.5, math.nan, 0.9], 1, "nan"), ([0.5, math.inf], 1, "inf"), ([-math.inf, 0.5], 0, "-inf")],
+)
+def test_forward_powder_average_refuses_nonfinite_q_before_integrating(q_axis, entry, value):
+    calls = []
+
+    def s_1d(q, e):
+        calls.append(q)
+        return np.ones_like(q)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            forward_powder_average(s_1d, q_axis, [0.0])
+    assert str(exc.value) == (
+        f"q_axis must be finite for the powder average, got {value} at entry {entry}"
+    )
+    assert not calls
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_find_tmax_needs_three_samples(n):
     t = np.linspace(1.0, 2.0, n)
@@ -170,3 +193,52 @@ def test_susceptibility_curve_refusals(chi, sigma, message):
     with pytest.raises(ValueError) as exc:
         SusceptibilityCurve(np.array([1.0, 2.0, 3.0]), np.array(chi), np.array(sigma))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+def test_mev_to_kelvin_refuses_a_nonfinite_energy(energy):
+    with pytest.raises(ValueError) as exc:
+        mev_to_kelvin(energy)
+    assert str(exc.value) == "energy must be finite"
+
+
+@pytest.mark.parametrize(
+    "make, axis",
+    [
+        (lambda: EnergyCut([], [], [], 1.0), "e_axis"),
+        (lambda: SpectrumGrid([], [0.3], np.empty((1, 0)), np.empty((1, 0)), 1.0), "q_axis"),
+    ],
+    ids=["EnergyCut", "SpectrumGrid"],
+)
+def test_an_empty_axis_is_refused(make, axis):
+    with pytest.raises(AxisNotMonotone) as exc:
+        make()
+    assert str(exc.value) == f"{axis} must be a non-empty 1-d array"
+
+
+def test_starykh_params_refuse_an_unknown_policy():
+    with pytest.raises(ValueError) as exc:
+        StarykhParams(0.00065, 1.2, 3.1, negative_log_policy="lenient")
+    assert str(exc.value) == (
+        "negative_log_policy must be one of ('strict', 'absolute_value'), got 'lenient'"
+    )
+
+
+def test_find_tmax_refuses_a_degenerate_parabola():
+    """The maximum is interior, but its two bracketing samples on the right
+    coincide, so no parabola passes through the three."""
+    with pytest.raises(NoInteriorMaximum) as exc:
+        find_tmax([1.0, 2.0, 2.0], [0.0, 1.0, 1.0])
+    assert str(exc.value) == "degenerate parabola through the bracketing samples"
+
+
+def test_least_squares_refuses_a_nonfinite_jacobian():
+    """The residual is finite at the start and infinite at every other point,
+    so the first forward difference is not finite."""
+
+    def cliff(p):
+        return np.array([p["a"] - 0.5 if p["a"] == 2.0 else math.inf])
+
+    with pytest.raises(SingularJacobian) as exc:
+        least_squares(cliff, {"a": 2.0})
+    assert str(exc.value) == "Jacobian contains non-finite entries"

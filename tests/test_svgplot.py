@@ -154,6 +154,38 @@ def test_cells_refuse_a_single_centre(x, y, axis):
         Figure().cells(x, y, np.ones((y.size, x.size)))
 
 
+@pytest.mark.parametrize(
+    "figure_kw, x, y, message",
+    [
+        ({"xlog": True}, [0.0, 1.0, 2.0], [1.0, 2.0], "x centres must be finite and > 0 "
+         "on a log axis, got 0.0"),
+        ({"ylog": True}, [1.0, 2.0, 3.0], [2.0, -0.5], "y centres must be finite and > 0 "
+         "on a log axis, got -0.5"),
+        ({}, [0.2, math.nan, 0.9], [1.0, 2.0], "x centres must be finite, got nan"),
+        ({}, [0.2, 0.5, 0.9], [1.0, -math.inf], "y centres must be finite, got -inf"),
+        ({"xlog": True}, [1.0, math.inf, 9.0], [1.0, 2.0], "x centres must be finite and > 0 "
+         "on a log axis, got inf"),
+    ],
+    ids=["zero on a log x", "negative on a log y", "nan x", "-inf y", "inf on a log x"],
+)
+def test_cells_refuse_a_centre_the_axis_cannot_place(figure_kw, x, y, message):
+    """The refusal comes at ``cells``, naming the axis and the value, not
+    at ``render`` as a math domain error or as ``nan`` coordinates."""
+    fig = Figure(**figure_kw)
+    with pytest.raises(ValueError) as exc:
+        fig.cells(x, y, np.ones((len(y), len(x))))
+    assert str(exc.value) == message
+
+
+def test_cells_accept_descending_log_centres_and_nonfinite_values(tmp_path):
+    fig = Figure(xlog=True, ylog=True)
+    fig.cells([100.0, 10.0, 1.0], [9.0, 3.0], [[1.0, np.nan, 3.0], [np.inf, 5.0, 6.0]])
+    fig.render(tmp_path / "map.svg")
+    svg = (tmp_path / "map.svg").read_bytes()
+    assert b"nan" not in svg
+    assert n_cell_rects(svg) == 4
+
+
 @pytest.mark.parametrize("log", ["xlog", "ylog"])
 def test_log_axis_edges_are_geometric_midpoints(tmp_path, log):
     """Centres 1, 10 and 100 on a log axis have their edges at 10**-0.5,
