@@ -97,7 +97,7 @@ def powder_to_1d(grid: SpectrumGrid) -> SpectrumGrid:
     out_err = np.empty_like(grid.errors)
     for i, (j, w) in enumerate(zip(start.tolist(), weights)):
         out[:, i] = grid.intensity[:, i] + q[i] * (grid.intensity[:, j : j + 3] @ w)
-        # combined coefficients of S_j in S_i + Q_i * sum_j w_j S_j
+        # combined coefficients of S_k in S_i + Q_i * sum_k w_k S_k
         coeff = q[i] * w
         coeff[i - j] += 1.0
         out_err[:, i] = np.sqrt((grid.errors[:, j : j + 3] ** 2) @ (coeff**2))
