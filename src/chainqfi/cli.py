@@ -70,6 +70,17 @@ def _policy_from_flag(flag: str) -> str:
     return {"strict": "strict", "absolute-value": "absolute_value"}[flag]
 
 
+def _error_line(name: str, message: str, caught) -> str:
+    """The one JSON line a failing command writes to stderr, with the
+    warnings it held back."""
+    line = {"error": name, "message": message}
+    if caught:
+        line["warnings"] = [
+            {"category": w.category.__name__, "message": str(w.message)} for w in caught
+        ]
+    return json.dumps(line)
+
+
 def _reissue(caught) -> None:
     """Raise again each warning a ``catch_warnings(record=True)`` recorded."""
     for w in caught:
@@ -380,6 +391,32 @@ def cmd_synth(args) -> dict:
 # argument parsing
 # ----------------------------------------------------------------------
 
+def _flag_values(argv: list[str]) -> list[str]:
+    """``argv`` with each negative number that follows a long flag joined to
+    it: argparse reads "-1e308" or "-inf" as a flag, since its negative-number
+    pattern has no exponent form, so "--g -1e308" becomes "--g=-1e308"."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and flag != "--" and "=" not in flag and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{flag}={token}"
+                continue
+        out.append(token)
+    return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its errors as the one JSON error line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, _error_line("ArgumentError", message, ()) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
@@ -405,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative-log policy for temperatures above the cutoff",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainqfi",
         description="Spin-1/2 chain analysis: susceptibility fits, entanglement "
         "witness, dynamic susceptibility, and quantum Fisher information.",
@@ -492,7 +529,7 @@ def main(argv=None) -> int:
     """Run one command, then write what it returned; a command that raises
     writes nothing. Warnings are held back: on success they are re-issued as
     raised; on failure they join the one JSON error line."""
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_flag_values(sys.argv[1:] if argv is None else argv))
     error = None
     with warnings.catch_warnings(record=True) as caught:
         try:
@@ -507,12 +544,7 @@ def main(argv=None) -> int:
     if error is None:
         _reissue(caught)
         return 0
-    line = {"error": type(error).__name__, "message": str(error)}
-    if caught:
-        line["warnings"] = [
-            {"category": w.category.__name__, "message": str(w.message)} for w in caught
-        ]
-    print(json.dumps(line), file=sys.stderr)
+    print(_error_line(type(error).__name__, str(error), caught), file=sys.stderr)
     return return_code
 
 

@@ -129,8 +129,13 @@ def _freeze(obj, *names) -> None:
 
 
 def _require_strictly_increasing(axis: np.ndarray, name: str) -> None:
+    """Refuse an axis that is not a non-empty 1-d array of finite, strictly
+    increasing entries; a non-finite entry is named with its index."""
     if axis.ndim != 1 or axis.size < 1:
         raise AxisNotMonotone(f"{name} must be a non-empty 1-d array")
+    bad = np.flatnonzero(~np.isfinite(axis))
+    if bad.size:
+        raise AxisNotMonotone(f"{name} must be finite, got {axis[bad[0]]} at entry {bad[0]}")
     if axis.size > 1 and not np.all(np.diff(axis) > 0):
         raise AxisNotMonotone(f"{name} must be strictly increasing")
 

@@ -81,15 +81,22 @@ def file_record(path) -> dict:
     return {"path": str(path), "sha256": sha256_of(path)}
 
 
-def _write_lines(path, lines) -> None:
-    """Write each string of ``lines`` in turn: UTF-8, newlines as given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
+def _write_lines(path, lines) -> str:
+    """Write each string of ``lines`` in turn: UTF-8, newlines as given.
+    Returns the SHA-256 of the bytes written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in lines:
+            data = line.encode("utf-8")
+            h.update(data)
+            fh.write(data)
+    return h.hexdigest()
 
 
-def write_json(path, payload) -> None:
-    """``payload`` as JSON with sorted keys, 2-space indent and a final newline."""
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+def write_json(path, payload) -> str:
+    """``payload`` as JSON with sorted keys, 2-space indent and a final
+    newline; returns the file's SHA-256."""
+    return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def csv_table_text(header: Sequence[str], *columns) -> str:
@@ -99,22 +106,28 @@ def csv_table_text(header: Sequence[str], *columns) -> str:
     return "".join([",".join(header) + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
 
 
-def write_outputs(outdir, outputs: dict, stamp: str | None) -> None:
+def write_outputs(outdir, outputs: dict, stamp: str | None) -> dict:
     """Create ``outdir`` and write each ``{file name: content}`` entry into it,
     in order: text as it is, a dict as JSON, a SpectrumGrid as a spectrum
-    CSV, a Figure as SVG stamped with ``stamp``."""
+    CSV, a Figure as SVG stamped with ``stamp``. A callable entry is called
+    with the hashes of the files written before it, and its result written.
+    Returns ``{file name: sha256}`` of every file but the SVGs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    hashes = {}
     for name, content in outputs.items():
         path = outdir / name
+        if callable(content):
+            content = content(hashes)
         if isinstance(content, Figure):
             content.render(path, timestamp=stamp)
         elif isinstance(content, SpectrumGrid):
-            write_spectrum_csv(path, content)
+            hashes[name] = write_spectrum_csv(path, content)
         elif isinstance(content, str):
-            _write_lines(path, [content])
+            hashes[name] = _write_lines(path, [content])
         else:
-            write_json(path, content)
+            hashes[name] = write_json(path, content)
+    return hashes
 
 
 # field -> (what it must be, check); every manifest field is checked
@@ -399,8 +412,9 @@ def _spectrum_csv_text(grid: SpectrumGrid) -> str:
     return "".join(_spectrum_csv_rows(grid))
 
 
-def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
-    _write_lines(path, _spectrum_csv_rows(grid))
+def write_spectrum_csv(path, grid: SpectrumGrid) -> str:
+    """Write ``grid`` as a spectrum CSV; returns the file's SHA-256."""
+    return _write_lines(path, _spectrum_csv_rows(grid))
 
 
 def _resolution_line(e: np.ndarray, fwhm: float) -> np.ndarray:
@@ -562,20 +576,18 @@ class SynthConfig:
                 raise ValueError(f"{name} must be a finite number, got {value}")
 
 
-def _text_record(name: str, text: str) -> dict:
-    """The provenance record of ``text`` written as the file ``name``."""
-    return {"path": name, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
-
-
 def synthetic_dataset(
     chain: ChainParameters,
     starykh: StarykhParams,
     temperatures: Sequence[float],
     config: SynthConfig,
 ) -> dict:
-    """A deterministic synthetic dataset as ``{file name: content}``: ``chi.csv``,
-    then ``sqe_T*.csv`` and ``manifest_T*.json`` per temperature, then
-    ``generation.json``; each CSV as text, hashed from that text.
+    """A deterministic synthetic dataset as ``{file name: content}`` for
+    ``write_outputs``: ``chi.csv`` as text, then ``sqe_T*.csv`` as its
+    SpectrumGrid and ``manifest_T*.json`` per temperature, then
+    ``generation.json``. Each manifest and ``generation.json`` is a callable
+    of the hashes ``write_outputs`` returns for the CSVs written before it;
+    every field but those hashes is checked here, before any file is written.
 
     The spectrum is a separable 1D model, envelope(q) * S(E, T), pushed
     through the exact powder average, plus an optional elastic line and
@@ -602,7 +614,10 @@ def synthetic_dataset(
         raise ValueError(f"synthetic chi or sigma at T = {chi_t[bad][0]:g} K is not finite")
     curve = SusceptibilityCurve(temperatures=chi_t, chi=chi_noisy, sigma=sigma)
     outputs = {"chi.csv": csv_table_text(CHI_HEADER, curve.temperatures, curve.chi, curve.sigma)}
-    files = [_text_record("chi.csv", outputs["chi.csv"])]
+    csv_names = ["chi.csv"]
+
+    def records(hashes, names):
+        return [{"path": name, "sha256": hashes[name]} for name in names]
 
     q_zc = math.pi / chain.lattice_c
 
@@ -635,10 +650,11 @@ def synthetic_dataset(
             temperature=t,
         )
         tag = f"{t:g}".replace(".", "p")
-        if f"sqe_T{tag}.csv" in outputs:
-            raise ValueError(f"two temperatures share the file name sqe_T{tag}.csv")
-        outputs[f"sqe_T{tag}.csv"] = _spectrum_csv_text(grid)
-        files.append(_text_record(f"sqe_T{tag}.csv", outputs[f"sqe_T{tag}.csv"]))
+        name = f"sqe_T{tag}.csv"
+        if name in outputs:
+            raise ValueError(f"two temperatures share the file name {name}")
+        outputs[name] = grid
+        csv_names.append(name)
         manifest = DatasetManifest(
             sample=_SAMPLE,
             temperature_K=float(t),
@@ -652,11 +668,12 @@ def synthetic_dataset(
                 "elastic_amplitude": config.elastic_amplitude,
                 "flat_background": config.flat_background,
             },
-            inputs=[files[-1]],
         )
-        outputs[f"manifest_T{tag}.json"] = asdict(manifest)
+        outputs[f"manifest_T{tag}.json"] = lambda hashes, fields=asdict(manifest), name=name: {
+            **fields, "inputs": records(hashes, [name])
+        }
 
-    outputs["generation.json"] = {
+    generation = {
         "sample": _SAMPLE,
         "seed": config.seed,
         "noise_level": config.noise_level,
@@ -670,8 +687,8 @@ def synthetic_dataset(
         "elastic_amplitude": config.elastic_amplitude,
         "flat_background": config.flat_background,
         "resolution_fwhm": _RESOLUTION_FWHM,
-        "files": files,
     }
+    outputs["generation.json"] = lambda hashes: {**generation, "files": records(hashes, csv_names)}
     return outputs
 
 

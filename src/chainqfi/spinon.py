@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .core import SpectrumGrid, _freeze, _positive
+from .core import SpectrumGrid, _freeze, _positive, _require_strictly_increasing
 from .errors import GridTooCoarse
 
 __all__ = [
@@ -127,6 +127,8 @@ def forward_powder_average(
         )
     if np.any(q <= 0):
         raise ValueError("q_axis must be strictly positive for the powder average")
+    for axis, name in ((q, "q_axis"), (e, "e_axis")):
+        _require_strictly_increasing(axis, name)  # as the returned grid would, before any call
     s_nodes = quadrature.array_function(s_1d)
     intensity = np.empty((e.size, q.size))
     for i, energy in enumerate(e.tolist()):

@@ -57,8 +57,8 @@ class SusceptibilityCurve:
     def __post_init__(self):
         _freeze(self, "temperatures", "chi", "sigma")
         t = self.temperatures
+        _temperatures(t)  # a non-finite temperature is refused as a temperature
         _require_strictly_increasing(t, "temperatures")
-        _temperatures(t)
         if self.chi.shape != t.shape or self.sigma.shape != t.shape:
             raise ValueError("temperatures, chi, sigma must have equal length")
         if np.any(self.sigma < 0):

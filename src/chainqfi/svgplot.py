@@ -65,11 +65,11 @@ class _Axis(NamedTuple):
     log: bool
 
     @classmethod
-    def over(cls, data: list, log: bool, pad: float, a: int, b: int) -> "_Axis":
-        """The axis over ``data``, widened by ``pad`` of its range on each
-        side; with no data the range is [0, 1], or [1, 10] on a log axis."""
-        v = np.array(data or ([1.0, 10.0] if log else [0.0, 1.0]))
-        lo, hi = float(v.min()), float(v.max())
+    def over(cls, extent: list, log: bool, pad: float, a: int, b: int) -> "_Axis":
+        """The axis over the data's ``[min, max]``, widened by ``pad`` of its
+        range on each side; with no data (``extent`` empty) the range is
+        [0, 1], or [1, 10] on a log axis."""
+        lo, hi = extent or ((1.0, 10.0) if log else (0.0, 1.0))
         if log:
             lo, hi = math.log10(lo), math.log10(hi)
         if hi - lo < 1e-30:
@@ -148,10 +148,13 @@ class Figure:
     xlog: bool = False
     ylog: bool = False
     _elements: list = field(default_factory=list, init=False)
-    _xdata: list = field(default_factory=list, init=False)
-    _ydata: list = field(default_factory=list, init=False)
+    # [min, max] of the drawn x and y, empty until a point is drawn
+    _xextent: list = field(default_factory=list, init=False)
+    _yextent: list = field(default_factory=list, init=False)
 
     def _track(self, x, y):
+        """The drawable points of ``x`` and ``y``: finite, and > 0 on a log
+        axis; the axis extents widen to take them in."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         ok = np.isfinite(x) & np.isfinite(y)
@@ -159,21 +162,24 @@ class Figure:
             ok &= x > 0
         if self.ylog:
             ok &= y > 0
-        self._xdata.extend(x[ok].tolist())
-        self._ydata.extend(y[ok].tolist())
-        return x, y, ok
+        x, y = x[ok], y[ok]
+        if x.size:
+            for extent, v in ((self._xextent, x), (self._yextent, y)):
+                lo, hi = float(v.min()), float(v.max())
+                extent[:] = [min(extent[0], lo), max(extent[1], hi)] if extent else [lo, hi]
+        return x, y
 
     def line(self, x, y, color="#d62728", dash=None, label=None):
-        x, y, ok = self._track(x, y)
-        self._elements.append(("line", x[ok], y[ok], color, 1.5, dash, label))
+        x, y = self._track(x, y)
+        self._elements.append(("line", x, y, color, 1.5, dash, label))
 
     def points(self, x, y, color="#000000", radius=2.5, label=None):
-        x, y, ok = self._track(x, y)
-        self._elements.append(("points", x[ok], y[ok], color, radius, label))
+        x, y = self._track(x, y)
+        self._elements.append(("points", x, y, color, radius, label))
 
     def fill_under(self, x, y, color="#17becf", opacity=0.45, label=None):
-        x, y, ok = self._track(x, y)
-        self._elements.append(("fill", x[ok], y[ok], color, opacity, label))
+        x, y = self._track(x, y)
+        self._elements.append(("fill", x, y, color, opacity, label))
 
     def vline(self, x, color="#444444", label=None):
         self._elements.append(("vline", float(x), color, "4 3", label))
@@ -208,9 +214,9 @@ class Figure:
     def _scales(self) -> tuple[_Axis, _Axis]:
         """The x axis (4 % padding) and the y axis (6 %) over the drawn data."""
         return (
-            _Axis.over(self._xdata, self.xlog, 0.04, self.margin_left,
+            _Axis.over(self._xextent, self.xlog, 0.04, self.margin_left,
                        self.width - self.margin_right),
-            _Axis.over(self._ydata, self.ylog, 0.06, self.height - self.margin_bottom,
+            _Axis.over(self._yextent, self.ylog, 0.06, self.height - self.margin_bottom,
                        self.margin_top),
         )
 

@@ -5,6 +5,7 @@ import cmath
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
@@ -263,7 +264,7 @@ def _tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 

@@ -53,7 +53,7 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 
@@ -272,7 +272,7 @@ class TestSpinonCommand:
     def test_missing_lattice_parameter_exits_2(self, tmp_path, capsys):
         written = make_dataset(tmp_path / "data", temps=(0.04,))
         manifest_path = written["spectra"][0]["manifest"]
-        data = json.loads(open(manifest_path).read())
+        data = json.loads(Path(manifest_path).read_bytes())
         data["lattice_c_A"] = None
         with open(manifest_path, "w") as fh:
             json.dump(data, fh)
@@ -1185,6 +1185,51 @@ def test_witness_refuses_j_kelvin(capsys):
         build_parser().parse_args(["witness", "x.csv", "--g", "2.0", "--j-kelvin", "3.1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --j-kelvin 3.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "x.csv", "--g", "2.0", "--bogus"], "unrecognized arguments: --bogus"),
+        (["witness", "x.csv", "--g", "abc"], "argument --g: invalid float value: 'abc'"),
+        (["witness", "x.csv"], "the following arguments are required: --g"),
+        (["qfi", "--temps", "0.5"], "one of the arguments --model --data is required"),
+        (["synth", "--temps"], "argument --temps: expected one argument"),
+    ],
+    ids=["unknown flag", "bad float", "missing --g", "missing --model", "missing value"],
+)
+def test_argparse_error_is_one_json_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--out", str(out), *argv[1:]])
+    assert exc.value.code == 2
+    assert single_error(capsys) == {"error": "ArgumentError", "message": message}
+    assert not out.exists()
+
+
+def test_argparse_error_in_a_fresh_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(chainqfi.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "chainqfi.cli", "witness", "x.csv", "--g", "abc"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert [json.loads(line) for line in done.stderr.splitlines()] == [
+        {"error": "ArgumentError", "message": "argument --g: invalid float value: 'abc'"}
+    ]
+
+
+@pytest.mark.parametrize("value", ["-1e308", "-inf", "-2"])
+@pytest.mark.parametrize("joined", [False, True], ids=["--g v", "--g=v"])
+def test_negative_flag_value_reaches_the_range_rule(tmp_path, capsys, value, joined):
+    out = tmp_path / "o"
+    g = [f"--g={value}"] if joined else ["--g", value]
+    assert main(["synth", *g, "--temps", "0.5", "--out", str(out)]) == 2
+    shown = {"-1e308": "-1e+308", "-2": "-2.0"}.get(value, value)
+    assert single_error(capsys) == {
+        "error": "ValueError", "message": f"g_factor must be a finite number > 0, got {shown}"
+    }
+    assert not out.exists()
 
 
 def test_qfi_failure_after_the_f_q_loop_keeps_its_warnings(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,12 +389,10 @@ class TestSyntheticDataset:
         a = generate_synthetic_dataset(CHAIN, STARYKH, [0.5], tmp_path / "a", config=cfg)
         b = generate_synthetic_dataset(CHAIN, STARYKH, [0.5], tmp_path / "b", config=cfg)
         for key in ("chi_csv",):
-            assert (
-                open(a[key], "rb").read() == open(b[key], "rb").read()
-            )
+            assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes()
         assert (
-            open(a["spectra"][0]["sqe_csv"], "rb").read()
-            == open(b["spectra"][0]["sqe_csv"], "rb").read()
+            Path(a["spectra"][0]["sqe_csv"]).read_bytes()
+            == Path(b["spectra"][0]["sqe_csv"]).read_bytes()
         )
 
     def test_seed_changes_output(self, tmp_path):
@@ -406,8 +405,8 @@ class TestSyntheticDataset:
             config=small_config(seed=2, noise_level=1.0),
         )
         assert (
-            open(a["spectra"][0]["sqe_csv"], "rb").read()
-            != open(b["spectra"][0]["sqe_csv"], "rb").read()
+            Path(a["spectra"][0]["sqe_csv"]).read_bytes()
+            != Path(b["spectra"][0]["sqe_csv"]).read_bytes()
         )
 
     def test_negative_temperature_rejected(self, tmp_path):
@@ -950,8 +949,9 @@ def test_synthetic_spectrum_row_at_zero_energy(tmp_path):
 
 
 def test_synthetic_dataset_opens_no_file(tmp_path, monkeypatch):
-    """The generator returns its files as text and dicts, hashing each CSV
-    from its text; writing them gives the bytes and hashes of the writer."""
+    """The generator returns its files as text, grids and callables of the
+    CSV hashes, and opens no file; writing them gives each grid's CSV text,
+    and manifests and generation.json that record the written files' hashes."""
     cfg = small_config(seed=7, noise_level=1.0, elastic_amplitude=100.0)
 
     def no_open(*args, **kwargs):
@@ -966,17 +966,29 @@ def test_synthetic_dataset_opens_no_file(tmp_path, monkeypatch):
         "chi.csv", "sqe_T0p2.csv", "manifest_T0p2.json", "sqe_T0p5.csv", "manifest_T0p5.json",
         "generation.json",
     ]
-    written = generate_synthetic_dataset(CHAIN, STARYKH, [0.2, 0.5], tmp_path / "d", config=cfg)
+    assert [type(outputs[name]) for name in ("chi.csv", "sqe_T0p2.csv")] == [str, SpectrumGrid]
+    hashes = pipeline_io.write_outputs(tmp_path / "d", outputs, None)
+    written = generate_synthetic_dataset(CHAIN, STARYKH, [0.2, 0.5], tmp_path / "e", config=cfg)
     assert written["spectra"][1] == {
-        "sqe_csv": str(tmp_path / "d" / "sqe_T0p5.csv"),
-        "manifest": str(tmp_path / "d" / "manifest_T0p5.json"),
+        "sqe_csv": str(tmp_path / "e" / "sqe_T0p5.csv"),
+        "manifest": str(tmp_path / "e" / "manifest_T0p5.json"),
     }
+    assert list(hashes) == list(outputs)
     for name, content in outputs.items():
-        if not isinstance(content, str):
-            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
-        assert (tmp_path / "d" / name).read_text(encoding="utf-8") == content
-    for record in outputs["generation.json"]["files"]:
+        data = (tmp_path / "d" / name).read_bytes()
+        assert data == (tmp_path / "e" / name).read_bytes()
+        assert hashes[name] == sha256_of(tmp_path / "d" / name)
+        if isinstance(content, SpectrumGrid):
+            content = pipeline_io._spectrum_csv_text(content)
+        elif callable(content):
+            content = json.dumps(content(hashes), indent=2, sort_keys=True) + "\n"
+        assert data == content.encode("utf-8")
+    generation = json.loads((tmp_path / "d" / "generation.json").read_bytes())
+    assert [r["path"] for r in generation["files"]] == ["chi.csv", "sqe_T0p2.csv", "sqe_T0p5.csv"]
+    for record in generation["files"]:
         assert record["sha256"] == sha256_of(tmp_path / "d" / record["path"])
+    manifest = json.loads((tmp_path / "d" / "manifest_T0p5.json").read_bytes())
+    assert manifest["inputs"] == [{"path": "sqe_T0p5.csv", "sha256": hashes["sqe_T0p5.csv"]}]
 
 
 HEADER_LINE = "Q_invA,E_meV,intensity,error"
@@ -1107,3 +1119,53 @@ class TestBoundedMemory:
         path = tmp_path / "map.svg"
         peak = self.peak(lambda: fig.render(path))
         assert peak < 1.6 * path.stat().st_size
+
+    # 8 temperatures of synth on the 100 Q x 600 E grid: what the generator
+    # holds is the grids' arrays, 8 x 2 x 60,000 floats
+    SYNTH_TEMPS = [0.04, 0.06, 0.1, 0.15, 0.2, 0.3, 0.45, 0.7]
+    SYNTH_GRID_BYTES = 8 * 2 * 600 * 100 * 8
+
+    @staticmethod
+    def synth_config():
+        return small_config(
+            seed=7, noise_level=1.0, elastic_amplitude=100.0,
+            q_axis=np.linspace(0.1, 2.0, 100), e_axis=np.linspace(-0.2, 1.0, 600),
+        )
+
+    def test_synth_holds_its_grids_not_their_text(self):
+        """Measured: 1.0x the grids' arrays; holding each CSV as text took 4x."""
+        # numpy.random and the quadrature's first use allocate outside the trace
+        pipeline_io.synthetic_dataset(CHAIN, STARYKH, [0.5], small_config())
+        tracemalloc.start()
+        try:
+            outputs = pipeline_io.synthetic_dataset(
+                CHAIN, STARYKH, self.SYNTH_TEMPS, self.synth_config()
+            )
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(outputs) == 2 + 2 * len(self.SYNTH_TEMPS)
+        assert held <= 1.2 * self.SYNTH_GRID_BYTES
+
+    def test_write_outputs_hashes_what_it_writes_in_one_row_of_memory(self, tmp_path):
+        outputs = pipeline_io.synthetic_dataset(
+            CHAIN, STARYKH, self.SYNTH_TEMPS, self.synth_config()
+        )
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            hashes = pipeline_io.write_outputs(tmp_path, outputs, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 0.5e6
+        assert list(hashes) == list(outputs)
+        for name, digest in hashes.items():
+            assert digest == sha256_of(tmp_path / name)
+        generation = json.loads((tmp_path / "generation.json").read_bytes())
+        for record in generation["files"]:
+            assert record["sha256"] == sha256_of(tmp_path / record["path"])
+        for name in outputs:
+            if name.startswith("manifest_T"):
+                (entry,) = json.loads((tmp_path / name).read_bytes())["inputs"]
+                assert entry["sha256"] == sha256_of(tmp_path / entry["path"])

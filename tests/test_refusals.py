@@ -165,6 +165,39 @@ def test_forward_powder_average_refuses_nonfinite_q_before_integrating(q_axis, e
     assert not calls
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: EnergyCut([0.0, 1.0, math.inf], [1.0, 2.0, 3.0], [0.0] * 3, 0.5),
+         "e_axis must be finite, got inf at entry 2"),
+        (lambda: EnergyCut([math.nan], [1.0], [0.0], 0.5), "e_axis must be finite, got nan at entry 0"),
+        (lambda: SpectrumGrid([0.1, math.inf], [0.0], [[1.0, 2.0]], [[0.0, 0.0]], 0.5),
+         "q_axis must be finite, got inf at entry 1"),
+    ],
+    ids=["EnergyCut inf", "EnergyCut nan", "SpectrumGrid inf"],
+)
+def test_a_nonfinite_axis_entry_is_refused_by_name(make, message):
+    with pytest.raises(AxisNotMonotone) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "e_axis, entry, value", [([0.0, math.nan], 1, "nan"), ([-math.inf, 0.0], 0, "-inf")]
+)
+def test_forward_powder_average_refuses_nonfinite_e_before_integrating(e_axis, entry, value):
+    calls = []
+
+    def s_1d(q, e):
+        calls.append(q)
+        return np.ones_like(q)
+
+    with pytest.raises(AxisNotMonotone) as exc:
+        forward_powder_average(s_1d, [0.5, 0.9], e_axis)
+    assert str(exc.value) == f"e_axis must be finite, got {value} at entry {entry}"
+    assert len(calls) == 0
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_find_tmax_needs_three_samples(n):
     t = np.linspace(1.0, 2.0, n)

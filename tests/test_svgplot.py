@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -422,7 +423,7 @@ def test_seed7_command_figures(tmp_path, monkeypatch):
             assert main([*argv, "--out", str(tmp_path / f"out{k}"), "--deterministic"]) == 0
     assert len(figures) >= len(runs)
     for fig, path in figures:
-        assert assert_same_marks(fig, tmp_path, monkeypatch) == open(path, "rb").read()
+        assert assert_same_marks(fig, tmp_path, monkeypatch) == Path(path).read_bytes()
 
 
 def render_in_subprocess(tmp_path, figure_code: str) -> bytes:
@@ -553,3 +554,85 @@ def test_linear_axis_wider_than_the_float_maximum(tmp_path, ys):
     assert Figure.margin_top <= high < low <= Figure.height - Figure.margin_bottom
     labels = re.findall(r'text-anchor="end">([^<]+)<', svg)
     assert "0" in labels and all(math.isfinite(float(v)) for v in labels)
+
+
+# the ends and the middle of the float range, signed zeros, subnormals, and
+# the non-finite values that the tracker drops
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, sys.float_info.max, math.nan,
+     math.inf, -math.inf]
+) | st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def figure_ops(draw):
+    """(kind, x, y, values) of up to four elements: lines, points, fills and
+    cell maps; a cell map's values are one per (y, x) centre pair."""
+    ops = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["line", "points", "fill_under", "cells"]))
+        n = draw(st.integers(0 if kind != "cells" else 2, 6))
+        x = draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+        m = n if kind != "cells" else draw(st.integers(2, 4))
+        y = draw(st.lists(EDGE_FLOATS, min_size=m, max_size=m))
+        values = draw(st.lists(EDGE_FLOATS, min_size=n * m, max_size=n * m))
+        ops.append((kind, x, y, values))
+    return ops
+
+
+def built(ops, **figure_kw):
+    fig = Figure(**figure_kw)
+    for kind, x, y, values in ops:
+        if kind == "cells":
+            try:
+                fig.cells(x, y, np.reshape(values, (len(y), len(x))))
+            except ValueError:  # a centre that is not finite, or <= 0 on a log axis
+                pass
+        else:
+            getattr(fig, kind)(x, y)
+    return fig
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(figure_ops(), st.sampled_from(list(AXES)))
+def test_running_extent_renders_as_min_and_max_of_every_point(tmp_path_factory, ops, axes):
+    """The figure keeps [min, max] per axis as it goes; its render must equal
+    that of the rule it replaced: np.min and np.max over every tracked point."""
+    tmp_path = tmp_path_factory.mktemp("extent")
+    kept = ([], [])
+    track = Figure._track
+
+    def keep_points(self, x, y):
+        x, y = track(self, x, y)
+        kept[0].append(x)
+        kept[1].append(y)
+        return x, y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        new = built(ops, **AXES[axes])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Figure, "_track", keep_points)
+            old = built(ops, **AXES[axes])
+        for extent, parts in ((old._xextent, kept[0]), (old._yextent, kept[1])):
+            v = np.concatenate([np.empty(0), *parts])
+            extent[:] = [float(np.min(v)), float(np.max(v))] if v.size else []
+        assert outcome(new, tmp_path / "new.svg") == outcome(old, tmp_path / "old.svg")
+
+
+def test_figure_holds_no_per_point_floats():
+    """qfi --model on 32 temperatures draws a fill and a line of 241 points
+    each: the figure holds the drawn arrays, and no Python float per point."""
+    grid = np.linspace(0.0, 3.0, 241)
+    curves = [np.sin(grid + k) for k in range(32)]
+    fig = Figure()
+    tracemalloc.start()
+    try:
+        for curve in curves:
+            fig.fill_under(grid, curve)
+            fig.line(grid, curve)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    array_bytes = 32 * 482 * 2 * 8
+    assert held < 1.2 * array_bytes
