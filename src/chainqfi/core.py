@@ -3,11 +3,12 @@
 Two fixed unit conventions are used throughout: energies in meV with
 temperatures in K (spectroscopy side), and CGS-emu for molar
 susceptibility. All conversions happen explicitly at formula boundaries.
-The physical constants are fixed in ``DEFAULT_UNITS``; every formula reads
-them from there, and none takes them as a parameter.
+The constants are fixed in ``DEFAULT_UNITS``, which no formula takes as a
+parameter. ``_write_lines`` writes and hashes every output file.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -72,6 +73,18 @@ def mev_to_kelvin(e):
         raise ValueError("energy must be finite")
     out = e / DEFAULT_UNITS.boltzmann_mev_per_kelvin
     return float(out) if out.ndim == 0 else out
+
+
+def _write_lines(path, lines) -> str:
+    """Write each string of ``lines`` in turn: UTF-8, newlines as given.
+    Returns the SHA-256 of the bytes written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in lines:
+            data = line.encode("utf-8")
+            h.update(data)
+            fh.write(data)
+    return h.hexdigest()
 
 
 def _is_number(value) -> bool:

@@ -21,7 +21,7 @@ The policy in force is recorded in every output manifest downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -211,12 +211,7 @@ def fit_starykh(cuts: Sequence[EnergyCut], initial: StarykhParams) -> fitter.Fit
     weight_blocks = [fitter.sigma_weights(c.errors) for c in cuts]
 
     def residuals(p):
-        model_params = StarykhParams(
-            a_starykh=p["a_starykh"],
-            t0_kelvin=p["t0_kelvin"],
-            j_over_kb=initial.j_over_kb,
-            negative_log_policy=initial.negative_log_policy,
-        )
+        model_params = replace(initial, a_starykh=p["a_starykh"], t0_kelvin=p["t0_kelvin"])
         blocks = []
         for cut, weights in zip(cuts, weight_blocks):
             model = chi_imag_starykh(cut.e_axis, cut.temperature, model_params)

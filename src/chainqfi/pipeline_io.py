@@ -29,7 +29,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, fitter, spinon
-from .core import ChainParameters, EnergyCut, SpectrumGrid, _is_number, _is_positive, _positive
+from .core import ChainParameters, EnergyCut, SpectrumGrid, _write_lines
+from .core import _is_number, _is_positive, _positive
 from .dynamics import StarykhParams
 from .errors import (
     DuplicateAbscissa,
@@ -81,18 +82,6 @@ def file_record(path) -> dict:
     return {"path": str(path), "sha256": sha256_of(path)}
 
 
-def _write_lines(path, lines) -> str:
-    """Write each string of ``lines`` in turn: UTF-8, newlines as given.
-    Returns the SHA-256 of the bytes written."""
-    h = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for line in lines:
-            data = line.encode("utf-8")
-            h.update(data)
-            fh.write(data)
-    return h.hexdigest()
-
-
 def write_json(path, payload) -> str:
     """``payload`` as JSON with sorted keys, 2-space indent and a final
     newline; returns the file's SHA-256."""
@@ -111,7 +100,7 @@ def write_outputs(outdir, outputs: dict, stamp: str | None) -> dict:
     in order: text as it is, a dict as JSON, a SpectrumGrid as a spectrum
     CSV, a Figure as SVG stamped with ``stamp``. A callable entry is called
     with the hashes of the files written before it, and its result written.
-    Returns ``{file name: sha256}`` of every file but the SVGs."""
+    Returns ``{file name: sha256}`` of every file, each hashed as written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     hashes = {}
@@ -119,14 +108,12 @@ def write_outputs(outdir, outputs: dict, stamp: str | None) -> dict:
         path = outdir / name
         if callable(content):
             content = content(hashes)
-        if isinstance(content, Figure):
-            content.render(path, timestamp=stamp)
-        elif isinstance(content, SpectrumGrid):
-            hashes[name] = write_spectrum_csv(path, content)
-        elif isinstance(content, str):
-            hashes[name] = _write_lines(path, [content])
-        else:
-            hashes[name] = write_json(path, content)
+        hashes[name] = (
+            content.render(path, timestamp=stamp) if isinstance(content, Figure)
+            else write_spectrum_csv(path, content) if isinstance(content, SpectrumGrid)
+            else _write_lines(path, [content]) if isinstance(content, str)
+            else write_json(path, content)
+        )
     return hashes
 
 
@@ -196,8 +183,8 @@ class DatasetManifest:
             self.lattice_c_A = float(self.lattice_c_A)
         self.q_window = tuple(float(v) for v in self.q_window)
 
-    def save(self, path) -> None:
-        write_json(path, asdict(self))
+    def save(self, path) -> str:
+        return write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -350,8 +337,9 @@ def read_susceptibility_csv(path) -> SusceptibilityCurve:
     return SusceptibilityCurve(temperatures=t, chi=chi, sigma=sigma)
 
 
-def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> None:
-    _write_lines(path, [csv_table_text(CHI_HEADER, curve.temperatures, curve.chi, curve.sigma)])
+def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> str:
+    text = csv_table_text(CHI_HEADER, curve.temperatures, curve.chi, curve.sigma)
+    return _write_lines(path, [text])
 
 
 def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:

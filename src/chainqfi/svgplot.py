@@ -1,6 +1,6 @@
 """Minimal deterministic SVG plotting: axes, polylines, filled areas,
-scatter markers, and cell maps. No plotting stack, no randomness; output
-depends only on the data and an optional timestamp comment.
+scatter markers, and cell maps. No randomness: the bytes, which the writer
+of every output file writes, depend only on the data and a timestamp.
 """
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .core import _write_lines
 
 __all__ = ["Figure"]
 
@@ -280,7 +282,8 @@ class Figure:
             f'fill-opacity="{style}" stroke="none"/>'
         ]
 
-    def render(self, path, timestamp: str | None = None) -> None:
+    def render(self, path, timestamp: str | None = None) -> str:
+        """Write the whole SVG, once built, to ``path``; returns its SHA-256."""
         px, py = self._scales()
         (x0, x1), (y0, y1) = (px.a, px.b), (py.a, py.b)
 
@@ -376,5 +379,4 @@ class Figure:
                 f'<text x="{x1 - 134}" y="{ly}" font-size="11">{label}</text>'
             )
         out.append("</svg>")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(piece + "\n" for piece in out)
+        return _write_lines(path, (piece + "\n" for piece in out))

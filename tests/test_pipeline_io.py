@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainqfi import pipeline_io
+from chainqfi.cli import build_parser
 from chainqfi.core import ChainParameters, EnergyCut, SpectrumGrid
 from chainqfi.dynamics import StarykhParams, chi_imag_starykh, fit_starykh
 from chainqfi.errors import (
@@ -989,6 +990,38 @@ def test_synthetic_dataset_opens_no_file(tmp_path, monkeypatch):
         assert record["sha256"] == sha256_of(tmp_path / "d" / record["path"])
     manifest = json.loads((tmp_path / "d" / "manifest_T0p5.json").read_bytes())
     assert manifest["inputs"] == [{"path": "sqe_T0p5.csv", "sha256": hashes["sqe_T0p5.csv"]}]
+
+
+def test_write_outputs_hashes_every_file_it_writes_svgs_included(tmp_path):
+    """A command's outputs (spinon's: a spectrum CSV, a JSON report and an
+    SVG) through ``write_outputs``: each file has a hash, and each hash is
+    that of the file's bytes."""
+    written = generate_synthetic_dataset(CHAIN, STARYKH, [0.5], tmp_path / "data",
+                                         config=small_config(seed=7, noise_level=1.0))
+    args = build_parser().parse_args(["spinon", "--data", written["spectra"][0]["manifest"]])
+    outputs = args.func(args)
+    assert any(isinstance(content, Figure) for content in outputs.values())
+    hashes = pipeline_io.write_outputs(tmp_path / "out", outputs, "2020-01-01T00:00:00")
+    assert list(hashes) == list(outputs)
+    for name, digest in hashes.items():
+        assert digest == sha256_of(tmp_path / "out" / name), name
+
+
+def test_every_public_writer_returns_the_sha256_of_its_bytes(tmp_path):
+    curve = SusceptibilityCurve(temperatures=[1.0, 2.0], chi=[0.01, 0.02], sigma=[0.0, 0.0])
+    grid = SpectrumGrid(q_axis=[0.5, 1.0], e_axis=[0.0, 0.1], intensity=np.ones((2, 2)),
+                        errors=np.ones((2, 2)), temperature=0.5)
+    fig = Figure()
+    fig.line([0.0, 1.0], [1.0, 2.0])
+    writers = {
+        "a.json": lambda path: pipeline_io.write_json(path, {"a": [1.0, None]}),
+        "chi.csv": lambda path: write_susceptibility_csv(path, curve),
+        "sqe.csv": lambda path: write_spectrum_csv(path, grid),
+        "manifest.json": MANIFEST.save,
+        "fig.svg": lambda path: fig.render(path, timestamp="now"),
+    }
+    for name, write in writers.items():
+        assert write(tmp_path / name) == sha256_of(tmp_path / name), name
 
 
 HEADER_LINE = "Q_invA,E_meV,intensity,error"
