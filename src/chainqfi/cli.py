@@ -392,15 +392,16 @@ def cmd_synth(args) -> dict:
 # ----------------------------------------------------------------------
 
 def _flag_values(argv: list[str]) -> list[str]:
-    """``argv`` with each negative number that follows a long flag joined to
-    it: argparse reads "-1e308" or "-inf" as a flag, since its negative-number
-    pattern has no exponent form, so "--g -1e308" becomes "--g=-1e308"."""
+    """``argv`` with each negative number, or comma list of numbers, that
+    follows a long flag joined to it: argparse reads "-1e308", "-inf" or
+    "-0.5,1" as a flag, since its negative-number pattern has no exponent or
+    list form, so "--g -1e308" becomes "--g=-1e308"."""
     out = []
     for token in argv:
         flag = out[-1] if out else ""
         if flag.startswith("--") and flag != "--" and "=" not in flag and token.startswith("-"):
             try:
-                float(token)
+                [float(part) for part in token.split(",")]
             except ValueError:
                 pass
             else:

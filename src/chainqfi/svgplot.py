@@ -112,6 +112,12 @@ class _Axis(NamedTuple):
         return ticks
 
 
+def _unplaceable(v: np.ndarray, log: bool) -> np.ndarray:
+    """Where an axis cannot place ``v``: a non-finite value, or one <= 0 on a
+    log axis. The one rule of every element that draws values."""
+    return ~np.isfinite(v) | (log & (v <= 0))
+
+
 def _edges(t: np.ndarray) -> np.ndarray:
     """The cell edges around centres ``t``: the midpoint of each neighbouring
     pair, and the two outer edges mirrored about the end centres."""
@@ -159,17 +165,23 @@ class Figure:
         axis; the axis extents widen to take them in."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        ok = np.isfinite(x) & np.isfinite(y)
-        if self.xlog:
-            ok &= x > 0
-        if self.ylog:
-            ok &= y > 0
+        ok = ~(_unplaceable(x, self.xlog) | _unplaceable(y, self.ylog))
         x, y = x[ok], y[ok]
         if x.size:
             for extent, v in ((self._xextent, x), (self._yextent, y)):
                 lo, hi = float(v.min()), float(v.max())
                 extent[:] = [min(extent[0], lo), max(extent[1], hi)] if extent else [lo, hi]
         return x, y
+
+    def _place(self, what: str, axis: str, values) -> None:
+        """Refuse ``values`` that the ``axis`` axis ("x" or "y") cannot place,
+        with a ValueError naming ``what`` and the first such value."""
+        log = self.xlog if axis == "x" else self.ylog
+        v = np.asarray(values, dtype=float)
+        bad = _unplaceable(v, log)
+        if bad.any():
+            rule = "finite and > 0 on a log axis" if log else "finite"
+            raise ValueError(f"{what} must be {rule}, got {v[bad][0]}")
 
     def line(self, x, y, color="#d62728", dash=None, label=None):
         x, y = self._track(x, y)
@@ -184,9 +196,11 @@ class Figure:
         self._elements.append(("fill", x, y, color, opacity, label))
 
     def vline(self, x, color="#444444", label=None):
+        self._place("vline x", "x", x)
         self._elements.append(("vline", float(x), color, "4 3", label))
 
     def hline(self, y):
+        self._place("hline y", "y", y)
         self._elements.append(("hline", float(y), "#444444", "4 3"))
 
     def cells(self, x_centers, y_centers, values, label=None):
@@ -195,20 +209,19 @@ class Figure:
         centre must be finite, and > 0 on a log axis."""
         x = np.asarray(x_centers, dtype=float)
         y = np.asarray(y_centers, dtype=float)
-        for axis, centers, log in (("x", x, self.xlog), ("y", y, self.ylog)):
+        for axis, centers in (("x", x), ("y", y)):
             if centers.size < 2:
                 raise ValueError(
                     f"a cell map needs at least 2 {axis} centres, got {centers.size}"
                 )
-            bad = ~np.isfinite(centers) | (log & (centers <= 0))
-            if bad.any():
-                rule = "finite and > 0 on a log axis" if log else "finite"
-                raise ValueError(f"{axis} centres must be {rule}, got {centers[bad][0]}")
+            self._place(f"{axis} centres", axis, centers)
         self._track(x, np.full_like(x, y[0]))
         self._track(np.full_like(y, x[0]), y)
         self._elements.append(("cells", x, y, np.asarray(values, dtype=float), label))
 
     def annotate(self, text, x, y):
+        self._place("annotate x", "x", x)
+        self._place("annotate y", "y", y)
         self._elements.append(("annotate", str(text), float(x), float(y), "#000000"))
 
     # --- rendering ---

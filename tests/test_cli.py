@@ -96,6 +96,15 @@ class TestFitSusceptibilityCommand:
         assert report["fit"]["errors"]["g_factor"] == 0.0
         assert report["fit"]["frozen_mask"]["g_factor"] is True
 
+    def test_freeze_value_that_is_not_a_number(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["fit-susceptibility", str(write_chi(tmp_path / "chi.csv")), "--freeze", "J=abc"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert single_error(capsys) == {
+            "error": "ValueError", "message": "--freeze expects a number after '=', got 'J=abc'"
+        }
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--impurity-curie"]], ids=["constant", "curie"])
     def test_free_c1_on_the_readme_data(self, tmp_path, extra):
         # the first undamped step in c1 = -exp(u) overflows exp: a failed
@@ -654,6 +663,21 @@ class TestTempsFlag:
             "message": f"--temps entry {position} ({token!r}) must be a finite number > 0",
         }
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_list_after_a_space_is_a_value(self, tmp_path, capsys, command):
+        """``--temps -0.5,1`` reaches the --temps parser, as ``--temps=-0.5,1``
+        does, and both write the same error line."""
+        lines = []
+        for temps in (["--temps", "-0.5,1"], ["--temps=-0.5,1"]):
+            out = tmp_path / "o"
+            assert main([*self.COMMANDS[command], *temps, "--out", str(out)]) == 2
+            lines.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert lines[0] == lines[1] == json.dumps({
+            "error": "ValueError",
+            "message": "--temps entry 1 ('-0.5') must be a finite number > 0",
+        }) + "\n"
 
     def test_both_commands_use_the_parser(self, tmp_path, monkeypatch):
         seen = []

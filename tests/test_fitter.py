@@ -292,3 +292,35 @@ def test_near_collinear_full_rank_start_stays_on_levenberg_marquardt():
     res = least_squares(residuals, {"a": 0.0, "b": 0.0})
     assert "nelder-mead" not in res.message
     assert res.converged
+
+
+def test_residual_of_any_shape_is_flattened():
+    """A residual returned as a 2-d array fits exactly as its flattened 1-d form."""
+    x = np.linspace(0.0, 1.0, 12)
+
+    def flat(p):
+        return p["a"] * x + p["b"] - np.exp(x)
+
+    one = least_squares(flat, {"a": 1.0, "b": 0.0})
+    two = least_squares(lambda p: flat(p).reshape(3, 4), {"a": 1.0, "b": 0.0})
+    for name in ("parameters", "errors", "free_names", "residual_norm", "reduced_chi2",
+                 "iterations", "converged", "frozen_mask", "message"):
+        assert getattr(two, name) == getattr(one, name), name
+    assert np.array_equal(two.covariance, one.covariance)
+
+
+@pytest.mark.parametrize("offset, runs", [(0.0, 2), (1e6, 1)])
+def test_nelder_mead_run_that_gains_below_1e_10_is_the_last(monkeypatch, offset, runs):
+    """A rank-deficient start hands the fit to Nelder-Mead. A cost of
+    offset^2 + (a + b - 1)^2 from (0, 0): with no offset the first run gains
+    almost all of the cost and a second run starts; with offset 1e6 the first
+    run gains 1e-12 of the cost, below the 1e-10 restart rule, and is the last.
+    Each run tiles its start point into a simplex once."""
+    tiles = []
+    tile = np.tile
+    monkeypatch.setattr(fitter.np, "tile", lambda *args: tiles.append(args) or tile(*args))
+    res = least_squares(lambda p: np.array([offset, p["a"] + p["b"] - 1.0]),
+                        {"a": 0.0, "b": 0.0})
+    assert res.message.startswith("nelder-mead fallback")
+    assert len(tiles) == runs
+    assert res.parameters["a"] + res.parameters["b"] == pytest.approx(1.0, abs=0.01)

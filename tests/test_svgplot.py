@@ -178,6 +178,47 @@ def test_cells_refuse_a_centre_the_axis_cannot_place(figure_kw, x, y, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "figure_kw, draw, message",
+    [
+        ({"xlog": True}, lambda f: f.vline(0.0), "vline x must be finite and > 0 on a log "
+         "axis, got 0.0"),
+        ({}, lambda f: f.vline(math.nan), "vline x must be finite, got nan"),
+        ({}, lambda f: f.hline(math.inf), "hline y must be finite, got inf"),
+        ({"ylog": True}, lambda f: f.hline(-1.0), "hline y must be finite and > 0 on a log "
+         "axis, got -1.0"),
+        ({}, lambda f: f.annotate("a", math.nan, 1.0), "annotate x must be finite, got nan"),
+        ({"ylog": True}, lambda f: f.annotate("a", 1.0, 0.0), "annotate y must be finite and "
+         "> 0 on a log axis, got 0.0"),
+        ({"xlog": True}, lambda f: f.annotate("a", 1.0, -math.inf), "annotate y must be "
+         "finite, got -inf"),
+    ],
+    ids=["vline 0 on a log x", "vline nan", "hline inf", "hline -1 on a log y",
+         "annotate nan x", "annotate 0 on a log y", "annotate -inf y"],
+)
+def test_single_value_elements_refuse_a_value_the_axis_cannot_place(figure_kw, draw, message):
+    """The refusal comes when the element is drawn, by the rule of the cell
+    centres, not at ``render`` as a math domain error or as ``nan`` in the SVG."""
+    fig = Figure(**figure_kw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        draw(fig)
+    assert fig._elements == []
+
+
+def test_single_value_elements_accept_what_the_axis_can_place(tmp_path):
+    fig = Figure(xlog=True, ylog=True)
+    fig.points([1.0, 10.0], [1.0, 10.0])
+    fig.vline(5e-324)
+    fig.hline(1e308)
+    fig.annotate("a", 2.0, 3.0)
+    fig = Figure()
+    fig.vline(-0.0)
+    fig.hline(-1e308)
+    fig.annotate("a", 0.0, -5.0)
+    fig.render(tmp_path / "fig.svg")
+    assert b"nan" not in (tmp_path / "fig.svg").read_bytes()
+
+
 def test_cells_accept_descending_log_centres_and_nonfinite_values(tmp_path):
     fig = Figure(xlog=True, ylog=True)
     fig.cells([100.0, 10.0, 1.0], [9.0, 3.0], [[1.0, np.nan, 3.0], [np.inf, 5.0, 6.0]])
