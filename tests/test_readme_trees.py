@@ -1,6 +1,7 @@
 """The output trees of the six README commands hash as committed in
 ``readme_digests.txt``; a change to any README output shows in the diff."""
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,25 @@ from chainqfi.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_trees_match_the_committed_digests():
+def assert_tool_prints_the_committed_digests(env=None):
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "readme_trees.py"), str(ROOT / "src")],
-        capture_output=True, timeout=300,
+        capture_output=True, timeout=300, env=env,
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == (ROOT / "tests" / "readme_digests.txt").read_bytes()
+
+
+def test_trees_match_the_committed_digests():
+    assert_tool_prints_the_committed_digests()
+
+
+def test_trees_match_with_no_avx512_path():
+    """A setting that leaves numpy no AVX-512 path, as on a host whose CPU has
+    AVX2 at most, prints the same: the tool runs numpy's baseline path."""
+    assert_tool_prints_the_committed_digests(
+        {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    )
 
 
 def _tool():

@@ -1,11 +1,15 @@
 """Run the six README commands with --deterministic and print the digest of
-each output tree.
+each output tree, after a first line ``numpy <version> <machine>``.
 
     python tools/readme_trees.py [SRC]
 
 SRC (default: the ``src`` directory of this checkout) goes first on
 PYTHONPATH, and each command runs as ``python -m chainqfi.cli`` in a fresh
-process inside a temporary directory. A tree's digest equals
+process inside a temporary directory. Each runs numpy's baseline code path:
+``NPY_DISABLE_CPU_FEATURES`` names every target numpy dispatches to, so that
+every x86-64 host with the same numpy gets the same digests, whatever SIMD
+extensions its CPU has. arm64 and other numpy versions get others, which the
+first line tells apart. A tree's digest equals
 ``LC_ALL=C find . -type f | sort | xargs sha256sum | sha256sum`` run in that
 tree. The exit status is 1 when any command fails or writes anything to
 stderr (a warning, say), after that stderr is shown, when any ``.json``
@@ -18,10 +22,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 # (tree, argv); the first command writes the dataset the others read
 COMMANDS = [
@@ -88,7 +96,9 @@ def first_csv_fault(root: Path) -> str | None:
 def main(argv: list[str]) -> int:
     src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src").resolve()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
+    print(f"numpy {np.__version__} {platform.machine()}")
     with tempfile.TemporaryDirectory() as tmp:
         for tree, args in COMMANDS:
             run = subprocess.run(
