@@ -192,8 +192,11 @@ def find_tmax(temperatures, chi_values) -> tuple[float, float]:
 
 def find_tmax_model(params: ChainParameters, step: float = 0.01) -> tuple[float, float]:
     """find_tmax applied to the chain model sampled at ``step`` K over
-    [0.2 J, 2 J], which brackets the peak at 0.640851 J."""
+    [0.2 J, 2 J], which brackets the peak at 0.640851 J. The step widens to
+    keep the samples to about 10,000, so that memory and time stay bounded
+    for any J (at 0.01 K, for J/k_B above 55 K)."""
     lo, hi = 0.2 * params.j_over_kb, 2.0 * params.j_over_kb
+    step = max(step, (hi - lo) / 10_000)
     t = np.arange(lo, hi + 0.5 * step, step)
     return find_tmax(t, chi_bonner_fisher(t, params))
 

@@ -118,6 +118,16 @@ def _unplaceable(v: np.ndarray, log: bool) -> np.ndarray:
     return ~np.isfinite(v) | (log & (v <= 0))
 
 
+def _require_placeable(what: str, values, log: bool) -> None:
+    """Refuse ``values`` that their axis cannot place, with a ValueError
+    naming ``what`` and the first such value."""
+    v = np.asarray(values, dtype=float)
+    bad = _unplaceable(v, log)
+    if bad.any():
+        rule = "finite and > 0 on a log axis" if log else "finite"
+        raise ValueError(f"{what} must be {rule}, got {v[bad][0]}")
+
+
 def _edges(t: np.ndarray) -> np.ndarray:
     """The cell edges around centres ``t``: the midpoint of each neighbouring
     pair, and the two outer edges mirrored about the end centres."""
@@ -173,16 +183,6 @@ class Figure:
                 extent[:] = [min(extent[0], lo), max(extent[1], hi)] if extent else [lo, hi]
         return x, y
 
-    def _place(self, what: str, axis: str, values) -> None:
-        """Refuse ``values`` that the ``axis`` axis ("x" or "y") cannot place,
-        with a ValueError naming ``what`` and the first such value."""
-        log = self.xlog if axis == "x" else self.ylog
-        v = np.asarray(values, dtype=float)
-        bad = _unplaceable(v, log)
-        if bad.any():
-            rule = "finite and > 0 on a log axis" if log else "finite"
-            raise ValueError(f"{what} must be {rule}, got {v[bad][0]}")
-
     def line(self, x, y, color="#d62728", dash=None, label=None):
         x, y = self._track(x, y)
         self._elements.append(("line", x, y, color, 1.5, dash, label))
@@ -196,11 +196,11 @@ class Figure:
         self._elements.append(("fill", x, y, color, opacity, label))
 
     def vline(self, x, color="#444444", label=None):
-        self._place("vline x", "x", x)
+        _require_placeable("vline x", x, self.xlog)
         self._elements.append(("vline", float(x), color, "4 3", label))
 
     def hline(self, y):
-        self._place("hline y", "y", y)
+        _require_placeable("hline y", y, self.ylog)
         self._elements.append(("hline", float(y), "#444444", "4 3"))
 
     def cells(self, x_centers, y_centers, values, label=None):
@@ -209,19 +209,19 @@ class Figure:
         centre must be finite, and > 0 on a log axis."""
         x = np.asarray(x_centers, dtype=float)
         y = np.asarray(y_centers, dtype=float)
-        for axis, centers in (("x", x), ("y", y)):
+        for axis, centers, log in (("x", x, self.xlog), ("y", y, self.ylog)):
             if centers.size < 2:
                 raise ValueError(
                     f"a cell map needs at least 2 {axis} centres, got {centers.size}"
                 )
-            self._place(f"{axis} centres", axis, centers)
+            _require_placeable(f"{axis} centres", centers, log)
         self._track(x, np.full_like(x, y[0]))
         self._track(np.full_like(y, x[0]), y)
         self._elements.append(("cells", x, y, np.asarray(values, dtype=float), label))
 
     def annotate(self, text, x, y):
-        self._place("annotate x", "x", x)
-        self._place("annotate y", "y", y)
+        _require_placeable("annotate x", x, self.xlog)
+        _require_placeable("annotate y", y, self.ylog)
         self._elements.append(("annotate", str(text), float(x), float(y), "#000000"))
 
     # --- rendering ---

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,19 @@ class TestBonnerFisherModel:
         # 0.640851 * 3.1, hand multiplication
         t_max, _ = find_tmax_model(REF, step=0.001)
         assert t_max == pytest.approx(1.98664, abs=2e-3)
+
+    def test_large_j_takes_a_bounded_grid(self):
+        """At J/k_B = 1e4 K a 0.01 K step would take 1.8 million samples; the
+        step widens to 1.8 K, and the peak is still placed."""
+        tracemalloc.start()
+        try:
+            t_max, unc = find_tmax_model(ChainParameters(j_over_kb=1e4, g_factor=2.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t_max / 1e4 == pytest.approx(0.640851, abs=1e-4)
+        assert unc == pytest.approx(0.5 * 1.8)
+        assert peak < 2e6
 
     def test_positive_and_single_peak(self):
         t = np.geomspace(1e-3, 100.0 * REF.j_over_kb, 30000)

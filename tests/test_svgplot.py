@@ -205,18 +205,14 @@ def test_single_value_elements_refuse_a_value_the_axis_cannot_place(figure_kw, d
     assert fig._elements == []
 
 
-def test_single_value_elements_accept_what_the_axis_can_place(tmp_path):
-    fig = Figure(xlog=True, ylog=True)
-    fig.points([1.0, 10.0], [1.0, 10.0])
-    fig.vline(5e-324)
-    fig.hline(1e308)
-    fig.annotate("a", 2.0, 3.0)
-    fig = Figure()
-    fig.vline(-0.0)
-    fig.hline(-1e308)
-    fig.annotate("a", 0.0, -5.0)
-    fig.render(tmp_path / "fig.svg")
-    assert b"nan" not in (tmp_path / "fig.svg").read_bytes()
+@pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+def test_single_value_elements_accept_what_the_axis_can_place(log):
+    fig = Figure(xlog=log, ylog=log)
+    for v in [5e-324, 1.0, 1e308] + ([] if log else [0.0, -0.0, -1e308]):
+        fig.vline(v)
+        fig.hline(v)
+        fig.annotate("a", v, v)
+    assert len(fig._elements) == (9 if log else 18)
 
 
 def test_cells_accept_descending_log_centres_and_nonfinite_values(tmp_path):
