@@ -376,6 +376,14 @@ def test_one_point_line_and_fill_are_skipped(tmp_path, monkeypatch):
     assert rendered.count(b"<circle") == 1
 
 
+def test_a_render_that_raises_writes_no_file(tmp_path):
+    """The whole SVG is built before the writer opens the file."""
+    fig = append_raw(Figure(xlog=True), [1.0, 0.0, 2.0], [2.0, 4.0, 6.0])
+    with pytest.raises(ValueError):
+        fig.render(tmp_path / "fig.svg")
+    assert not (tmp_path / "fig.svg").exists()
+
+
 @pytest.mark.parametrize("axes", ["xlog", "ylog"])
 def test_log_axis_with_a_value_at_or_below_zero_raises(axes, tmp_path, monkeypatch):
     fig = drawn(np.linspace(1.0, 4.0, 5), np.linspace(2.0, 8.0, 5), **AXES[axes])
