@@ -1,6 +1,6 @@
 """Minimal deterministic SVG plotting: axes, polylines, filled areas,
-scatter markers, and cell maps. No randomness: the bytes, which the writer
-of every output file writes, depend only on the data and a timestamp.
+scatter markers, and cell maps. No randomness: ``render``'s bytes depend
+only on the data and a timestamp, and ``core._write_lines`` writes them.
 """
 from __future__ import annotations
 
