@@ -296,13 +296,25 @@ class Figure:
         ]
 
     def render(self, path, timestamp: str | None = None) -> str:
-        """Write the whole SVG, once built, to ``path``; returns its SHA-256."""
+        """Write the whole SVG, once built, to ``path``; returns its SHA-256.
+        A vline, hline or annotate value with no finite pixel is a
+        ValueError, and no file is written."""
         px, py = self._scales()
         (x0, x1), (y0, y1) = (px.a, px.b), (py.a, py.b)
 
         def pxy(x, y):
             """The formatted pixels of whole x and y arrays."""
             return [*map(_fmt, px(x).tolist())], [*map(_fmt, py(y).tolist())]
+
+        def pixel(axis, v, what):
+            """The formatted pixel of one value, which the axis need not
+            span: a value far outside it maps to no finite pixel, and is
+            refused with a ValueError naming ``what`` and the value."""
+            with np.errstate(over="ignore"):
+                p = float(axis(v))
+            if not math.isfinite(p):
+                raise ValueError(f"{what} = {v!r} lies too far outside the axis: its pixel is {p}")
+            return _fmt(p)
 
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
@@ -326,24 +338,24 @@ class Figure:
                     legend_items.append((el[-1], el[3]))
             elif kind == "vline":
                 _, xv, color, dash, label = el
+                sx = pixel(px, xv, "vline x")
                 out.append(
-                    f'<line x1="{_fmt(px(xv))}" y1="{y0}" x2="{_fmt(px(xv))}" y2="{y1}" '
+                    f'<line x1="{sx}" y1="{y0}" x2="{sx}" y2="{y1}" '
                     f'stroke="{color}" stroke-dasharray="{dash}"/>'
                 )
                 if label:
                     legend_items.append((label, color))
             elif kind == "hline":
                 _, yv, color, dash = el
+                sy = pixel(py, yv, "hline y")
                 out.append(
-                    f'<line x1="{x0}" y1="{_fmt(py(yv))}" x2="{x1}" y2="{_fmt(py(yv))}" '
+                    f'<line x1="{x0}" y1="{sy}" x2="{x1}" y2="{sy}" '
                     f'stroke="{color}" stroke-dasharray="{dash}"/>'
                 )
             elif kind == "annotate":
                 _, text, xv, yv, color = el
-                out.append(
-                    f'<text x="{_fmt(px(xv))}" y="{_fmt(py(yv))}" font-size="11" '
-                    f'fill="{color}">{text}</text>'
-                )
+                sx, sy = pixel(px, xv, "annotate x"), pixel(py, yv, "annotate y")
+                out.append(f'<text x="{sx}" y="{sy}" font-size="11" fill="{color}">{text}</text>')
 
         # axes frame and ticks
         out.append(

@@ -215,6 +215,44 @@ def test_single_value_elements_accept_what_the_axis_can_place(log):
     assert len(fig._elements) == (9 if log else 18)
 
 
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda f: f.hline(-1e308), "hline y = -1e+308 lies too far outside the axis: "
+         "its pixel is inf"),
+        (lambda f: f.vline(1e308), "vline x = 1e+308 lies too far outside the axis: "
+         "its pixel is inf"),
+        (lambda f: f.annotate("a", -1e308, 0.5), "annotate x = -1e+308 lies too far outside "
+         "the axis: its pixel is -inf"),
+        (lambda f: f.annotate("a", 0.5, 1e308), "annotate y = 1e+308 lies too far outside "
+         "the axis: its pixel is -inf"),
+    ],
+    ids=["hline", "vline", "annotate x", "annotate y"],
+)
+def test_render_refuses_a_single_value_with_no_finite_pixel(tmp_path, draw, message):
+    """A finite value far outside the drawn data overflows its pixel; render
+    refuses it by name, without an overflow warning, and writes no file."""
+    fig = Figure()
+    fig.line([0.0, 1.0], [0.0, 1.0])
+    draw(fig)
+    path = tmp_path / "f.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fig.render(path)
+    assert not path.exists()
+
+
+def test_render_places_the_largest_float_on_a_log_axis(tmp_path):
+    fig = Figure(xlog=True, ylog=True)
+    fig.line([1.0, 10.0], [1.0, 10.0])
+    fig.vline(1e308)
+    fig.hline(1e308)
+    fig.annotate("a", 1e308, 1e308)
+    fig.render(tmp_path / "f.svg")
+    assert not re.search(r"inf|nan", (tmp_path / "f.svg").read_text())
+
+
 def test_cells_accept_descending_log_centres_and_nonfinite_values(tmp_path):
     fig = Figure(xlog=True, ylog=True)
     fig.cells([100.0, 10.0, 1.0], [9.0, 3.0], [[1.0, np.nan, 3.0], [np.inf, 5.0, 6.0]])
