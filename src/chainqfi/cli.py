@@ -35,8 +35,10 @@ J_FROM_TMAX_NOTE = (
 )
 
 
-# the temperatures (K) of qfi --model without --temps
-MODEL_TEMPS = "0.04,0.5,3,6.7"
+# the temperatures (K) of qfi --model without --temps: each below
+# T0 exp(-1/2) = 0.738 K at the default J and T0, so the default strict
+# policy admits them all
+MODEL_TEMPS = "0.04,0.08,0.16,0.32"
 
 
 def _as_json(result) -> dict:
@@ -497,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", action="store_true", help="pure-model evaluation")
     group.add_argument("--data", nargs="+", metavar="MANIFEST", help="dataset manifests")
     p.add_argument(
-        "--temps", help=f"comma-separated temperatures, --model only (default {MODEL_TEMPS})"
+        "--temps",
+        help=f"comma-separated temperatures, --model only (default {MODEL_TEMPS}, "
+        "which the default strict policy admits)",
     )
     p.set_defaults(func=cmd_qfi)
 

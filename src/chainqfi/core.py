@@ -5,6 +5,14 @@ temperatures in K (spectroscopy side), and CGS-emu for molar
 susceptibility. All conversions happen explicitly at formula boundaries.
 The constants are fixed in ``DEFAULT_UNITS``, which no formula takes as a
 parameter. ``_write_lines`` writes and hashes every output file.
+
+``_sha256`` computes every SHA-256 of the package: CPython's built-in
+implementation (``_sha2`` from Python 3.12, ``_sha256`` before), with
+``hashlib`` only for a Python built without it. ``hashlib`` maps OpenSSL's
+``libcrypto`` into the process, 3.35 MB of peak RSS, so only ``synth``
+loads OpenSSL, through ``numpy.random``. The built-in hash ran at 264 MB/s
+against OpenSSL's 1.39 GB/s on a 2-core Xeon with SHA-NI: about 39 ms
+more for the 12 MB that one ``reduce_8t`` benchmark pass hashes.
 """
 from __future__ import annotations
 
@@ -13,6 +21,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .errors import (
     AxisNotMonotone,
@@ -77,11 +93,7 @@ def mev_to_kelvin(e):
 def _write_lines(path, lines) -> str:
     """Write each string of ``lines`` in turn: UTF-8, newlines as given.
     Returns the SHA-256 of the bytes written."""
-    # imported at the first write: loading OpenSSL with this module, before
-    # pipeline_io is compiled, raised every command's peak RSS by 0.14 MB
-    import hashlib
-
-    h = hashlib.sha256()
+    h = _sha256()
     with open(path, "wb") as fh:
         for line in lines:
             data = line.encode("utf-8")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -29,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, fitter, spinon
-from .core import ChainParameters, EnergyCut, SpectrumGrid, _write_lines
+from .core import ChainParameters, EnergyCut, SpectrumGrid, _sha256, _write_lines
 from .core import _is_number, _is_positive, _positive
 from .dynamics import StarykhParams
 from .errors import (
@@ -70,7 +69,8 @@ SQE_HEADER = ["Q_invA", "E_meV", "intensity", "error"]
 
 
 def sha256_of(path) -> str:
-    h = hashlib.sha256()
+    """The SHA-256 of the file at ``path``, read in 64 KiB chunks."""
+    h = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
@@ -342,6 +342,16 @@ def write_susceptibility_csv(path, curve: SusceptibilityCurve) -> str:
     return _write_lines(path, [text])
 
 
+def _distinct(column: np.ndarray) -> np.ndarray:
+    """``np.unique(column)`` for a column of finite floats, bit for bit: the
+    first of each run of equal values in the same sort. ``np.unique``
+    itself imports ``numpy.ma``, 0.6 MB of peak RSS in a benchmark pass."""
+    s = np.sort(column)
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return s[first]
+
+
 def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
     """Read a long-format S(Q,E) grid; the rectangular grid must be complete."""
     table = _read_data(path, SQE_HEADER)
@@ -367,7 +377,7 @@ def read_spectrum_csv(path, manifest: DatasetManifest) -> SpectrumGrid:
             path=path,
         )
     # no repeats, so nq * ne cells leave no cell of the grid missing
-    q_axis, e_axis = np.unique(table[:, 0]), np.unique(table[:, 1])
+    q_axis, e_axis = _distinct(table[:, 0]), _distinct(table[:, 1])
     shape = (e_axis.size, q_axis.size)
     if len(cells) != e_axis.size * q_axis.size:
         raise IncompleteGrid(

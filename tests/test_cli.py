@@ -194,7 +194,7 @@ class TestQfiCommand:
     def test_model_mode_strict_policy_refuses_high_temperature(self, tmp_path, capsys):
         code = main(
             [
-                "qfi", "--model", "--policy", "strict",
+                "qfi", "--model", "--policy", "strict", "--temps", "0.04,0.5,3,6.7",
                 "--out", str(tmp_path / "out"), "--deterministic",
             ]
         )
@@ -944,7 +944,7 @@ class TestFailureKeepsItsWarnings:
         # 0.04 and 0.5 K warn of truncation, then 3 K lies above the cutoff
         out = tmp_path / "o"
         done = run_fresh("-m", "chainqfi.cli", "qfi", "--model", "--policy", "strict",
-                         "--out", str(out))
+                         "--temps", "0.04,0.5,3,6.7", "--out", str(out))
         assert done.returncode == 4
         lines = done.stderr.splitlines()
         assert len(lines) == 1, done.stderr
