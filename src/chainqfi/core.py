@@ -11,8 +11,8 @@ implementation (``_sha2`` from Python 3.12, ``_sha256`` before), with
 ``hashlib`` only for a Python built without it. ``hashlib`` maps OpenSSL's
 ``libcrypto`` into the process, 3.35 MB of peak RSS, so only ``synth``
 loads OpenSSL, through ``numpy.random``. The built-in hash ran at 264 MB/s
-against OpenSSL's 1.39 GB/s on a 2-core Xeon with SHA-NI: about 39 ms
-more for the 12 MB that one ``reduce_8t`` benchmark pass hashes.
+against OpenSSL's 1.39 GB/s on a 2-core Xeon with SHA-NI: 48 against
+9 ms per 12 MiB, about what one ``reduce_8t`` benchmark pass hashes.
 """
 from __future__ import annotations
 
