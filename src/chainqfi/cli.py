@@ -118,15 +118,12 @@ def cmd_fit_susceptibility(args) -> dict:
         result = suscept.fit_susceptibility(
             curve, initial, frozen=frozen, impurity_curie=args.impurity_curie
         )
+        if not result.converged:
+            raise FitDiverged(f"susceptibility fit did not converge: {result.message}")
+        fitted = ChainParameters(**result.parameters)
+        t_max_model, t_max_model_unc = suscept.find_tmax_model(fitted)
     except (ChainQfiError, ValueError) as exc:
         raise type(exc)(f"{args.chi_csv}: {exc}") from exc
-    if not result.converged:
-        raise FitDiverged(
-            f"{args.chi_csv}: susceptibility fit did not converge: {result.message}"
-        )
-
-    fitted = ChainParameters(**result.parameters)
-    t_max_model, t_max_model_unc = suscept.find_tmax_model(fitted)
     try:
         t_max_data, t_max_data_unc = suscept.find_tmax(curve.temperatures, curve.chi)
         j_from_data = suscept.j_from_tmax(t_max_data)

@@ -9,10 +9,12 @@ parameter. ``_write_lines`` writes and hashes every output file.
 ``_sha256`` computes every SHA-256 of the package: CPython's built-in
 implementation (``_sha2`` from Python 3.12, ``_sha256`` before), with
 ``hashlib`` only for a Python built without it. ``hashlib`` maps OpenSSL's
-``libcrypto`` into the process, 3.35 MB of peak RSS, so only ``synth``
-loads OpenSSL, through ``numpy.random``. The built-in hash ran at 264 MB/s
-against OpenSSL's 1.39 GB/s on a 2-core Xeon with SHA-NI: 48 against
-9 ms per 12 MiB, about what one ``reduce_8t`` benchmark pass hashes.
+``libcrypto`` into the process, 3.35 MB of peak RSS, so no command loads
+OpenSSL: ``synth`` draws its noise without ``numpy.random``, whose
+``secrets`` import would load it through ``hmac``. The built-in hash ran
+at 264 MB/s against OpenSSL's 1.39 GB/s on a 2-core Xeon with SHA-NI:
+48 against 9 ms per 12 MiB, about what one ``reduce_8t`` benchmark pass
+hashes.
 """
 from __future__ import annotations
 

@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -535,13 +536,53 @@ _ENVELOPE_WIDTH = 0.25
 _RESOLUTION_FWHM = 0.0175
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio counter
+# step and the two multipliers of its output mix
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
+    """Outputs ``start`` to ``start + n - 1`` (0-based) of SplitMix64 seeded
+    with ``seed``, in wrapping uint64 arithmetic: output i mixes
+    ``seed + (i + 1) * gamma``."""
+    z = np.uint64(seed) + np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(seed: int, start: int, n: int) -> np.ndarray:
+    """The top 53 bits of each ``_splitmix64`` output plus one, times
+    2**-53: exact doubles in (0, 1], whose logarithms are all finite."""
+    return ((_splitmix64(seed, start, n) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+
+class _NormalStream:
+    """Standard normals from one counter. Normal k is the Box-Muller (Ann.
+    Math. Stat. 29, 610 (1958)) cosine of uniforms 2k and 2k + 1, so drawing
+    n and then m normals gives the same values as drawing n + m."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.drawn = 0
+
+    def normal(self, shape) -> np.ndarray:
+        n = int(np.prod(shape))
+        u = _uniforms(self.seed, 2 * self.drawn, 2 * n)
+        self.drawn += n
+        return (np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * math.pi * u[1::2])).reshape(shape)
+
+
 @dataclass
 class SynthConfig:
     """Settings of the synthetic dataset generator.
 
-    ``noise_level`` scales the counting noise (0 disables it) and
-    ``chi_noise_level`` the relative chi noise; both must be finite and
-    >= 0, and the elastic amplitude and flat background finite. The
+    ``seed``, an integer in [0, 2**64), starts the ``_NormalStream`` that
+    draws all noise. ``noise_level`` scales the counting noise (0 disables
+    it) and ``chi_noise_level`` the relative chi noise; both must be finite
+    and >= 0, and the elastic amplitude and flat background finite. The
     momentum envelope of the synthetic 1D signal is a pair of Gaussians
     (even in q) centered at the antiferromagnetic zone center pi/c. The
     sample name, counts scale, Q window, envelope width and resolution are
@@ -564,6 +605,9 @@ class SynthConfig:
     flat_background: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         for name in ("noise_level", "chi_noise_level"):
             value = getattr(self, name)
             if not (_is_number(value) and value >= 0):
@@ -600,13 +644,13 @@ def synthetic_dataset(
     for t in temperatures:
         dynamics.scaling_dimension(t, starykh)  # refuses a bad or near-cutoff temperature early
 
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    rng = _NormalStream(config.seed)
 
     # susceptibility curve
     chi_t = np.asarray(config.chi_temperatures, dtype=float)
     chi_clean = chi_full(chi_t, chain)
     sigma = config.chi_noise_level * np.abs(chi_clean)
-    chi_noisy = chi_clean + rng.normal(size=chi_t.size) * sigma
+    chi_noisy = chi_clean + rng.normal(chi_t.size) * sigma
     bad = ~(np.isfinite(chi_noisy) & np.isfinite(sigma))
     if bad.any():
         raise ValueError(f"synthetic chi or sigma at T = {chi_t[bad][0]:g} K is not finite")
@@ -637,7 +681,7 @@ def synthetic_dataset(
         counts += config.flat_background
         errors = np.sqrt(np.maximum(counts, 1.0))
         if config.noise_level > 0:
-            counts = counts + config.noise_level * rng.normal(size=counts.shape) * errors
+            counts = counts + config.noise_level * rng.normal(counts.shape) * errors
         if not (np.isfinite(counts).all() and np.isfinite(errors).all()):
             raise ValueError(f"synthetic counts or errors at T = {t:g} K are not finite")
         grid = SpectrumGrid(

@@ -1,11 +1,8 @@
-"""What the analysis commands leave out of their process: each runs in a
-fresh interpreter and must finish without OpenSSL's ``_hashlib`` (nor
-``hashlib``, which loads it) and without ``numpy.ma``. OpenSSL's libcrypto
-added 3.35 MB to a command's peak RSS and ``numpy.ma`` about 0.6 MB.
-
-``synth`` is exempt: ``numpy.random`` imports ``secrets``, whose ``hmac``
-loads ``_hashlib``, and generating the noise without ``numpy.random`` would
-change its Philox stream and every synthetic file."""
+"""What the commands leave out of their process: each runs in a fresh
+interpreter and must finish without OpenSSL's ``_hashlib`` (nor ``hashlib``,
+which loads it), without ``numpy.random`` (nor ``secrets``, whose ``hmac``
+loads ``_hashlib``) and without ``numpy.ma``. OpenSSL's libcrypto added
+3.35 MB to a command's peak RSS and ``numpy.ma`` about 0.6 MB."""
 import json
 import os
 import subprocess
@@ -17,8 +14,8 @@ import pytest
 import chainqfi
 from chainqfi.cli import MODEL_TEMPS, main
 
-# modules no analysis command may load
-ABSENT = ("_hashlib", "hashlib", "numpy.ma")
+# modules no command may load
+ABSENT = ("_hashlib", "hashlib", "numpy.ma", "numpy.random", "secrets")
 
 _RUN = """
 import json, sys
@@ -29,6 +26,7 @@ print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
 """ % (ABSENT,)
 
 COMMANDS = {
+    "synth": ["synth", "--temps", "0.2,0.5", "--seed", "7", "--noise", "1.0", "--elastic-amp", "100"],
     "spinon": ["spinon", "--data", "data/manifest_T0p2.json", "--j-kelvin", "3.1"],
     "qfi --data": ["qfi", "--data", "data/manifest_T0p2.json", "data/manifest_T0p5.json"],
     "fit-susceptibility": ["fit-susceptibility", "data/chi.csv", "--freeze", "g=2.1"],
