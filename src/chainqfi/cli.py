@@ -208,7 +208,14 @@ def cmd_qfi(args) -> dict:
         for path in args.data:
             manifest, grid, spectrum = pipeline_io.load_dataset(path)
             rec = {"temperature_K": manifest.temperature_K}
-            cuts.append(pipeline_io.reduce_to_chi_imag(grid, manifest, record=rec))
+            try:
+                cut = pipeline_io.reduce_to_chi_imag(grid, manifest, record=rec)
+                if not np.all(np.isfinite(cut.values)):
+                    raise NonPositiveValue(
+                        f"reduced chi'' at T = {cut.temperature:g} K is not finite")
+            except (ChainQfiError, ValueError) as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
+            cuts.append(cut)
             elastic_records.append(rec)
             spectra.append(spectrum)
             policies.add(manifest.policies.get("negative_log_policy", "strict"))

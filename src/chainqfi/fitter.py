@@ -9,13 +9,9 @@ one-sided) so the optimizer never sees a constraint boundary.
 A Gauss-Newton step (no damping) is attempted first whenever the previous
 step succeeded, so linear problems converge in one step; damping kicks in
 only when an undamped step fails. Accepted steps never increase the cost.
-
-A starting Jacobian of deficient rank hands the fit to a Nelder-Mead simplex
-with coefficients (1, 2, 1/2, 1/2) (Nelder & Mead, Comput. J. 7, 308 (1965);
-Lagarias et al., SIAM J. Optim. 9, 112 (1998)) and first steps of 5 % per
-coordinate (0.00025 from zero). A run stops at a spread of 1e-10 in every
-coordinate and in cost, or after 2000 iterations per coordinate; up to 5 runs
-restart from the best point until one gains less than a relative 1e-10.
+A rank-deficient Jacobian needs no other method: any damping above zero
+makes the normal equations solvable (Moré, Lecture Notes in Math. 630
+(1978)).
 """
 from __future__ import annotations
 
@@ -91,28 +87,6 @@ def _bounded(lo: float | None, hi: float | None, start: float):
     return math.log(hi - start), lambda u: hi - math.exp(u), lambda u: -math.exp(u)
 
 
-def _full_column_rank(a: np.ndarray) -> bool:
-    """Whether ``a`` has full column rank by the rule of
-    ``np.linalg.matrix_rank``, singular values above max(m, n) eps sigma_max,
-    without an SVD: two-pass Gram-Schmidt must leave each column a norm above
-    that tolerance, with the largest column norm for sigma_max. ``a`` is
-    first scaled to a largest entry of 1, so that no square overflows."""
-    scale = np.abs(a).max(initial=0.0)
-    if not scale > 0:
-        return False
-    a = a / scale
-    tol = max(a.shape) * np.finfo(float).eps * np.sqrt((a * a).sum(axis=0)).max()
-    basis = np.empty((a.shape[0], 0))
-    for column in a.T:
-        for _ in range(2):
-            column = column - basis @ (basis.T @ column)
-        norm = math.sqrt(column @ column)
-        if not norm > tol:
-            return False
-        basis = np.column_stack((basis, column / norm))
-    return True
-
-
 def least_squares(
     residual_fn: Callable[[Mapping[str, float]], np.ndarray],
     initial: Mapping[str, float],
@@ -126,13 +100,14 @@ def least_squares(
     built by forward differences with step max(1e-7 |p|, 1e-10) on each
     free coordinate. Convergence: relative cost decrease below
     ``_COST_TOL`` (1e-12), scaled step norm below ``_STEP_TOL`` (1e-12), or
-    cost at the floating-point noise floor of the initial cost; hard cap
+    a step that lands on the floating-point noise floor of the initial cost
+    and leaves less than ``_COST_TOL`` of the cost it started from; hard cap
     ``_MAX_ITERATIONS`` (500; result returned with ``converged=False``).
+    Every start, a rank-deficient one included, runs Levenberg-Marquardt.
 
     Raises :class:`FitDiverged` when the starting cost is not finite or the
-    damping parameter overflows without finding an acceptable step, and :class:`SingularJacobian` when
-    the normal equations stay unsolvable. A Jacobian that is singular at
-    the starting point triggers a restartable Nelder-Mead fallback.
+    damping parameter overflows without finding an acceptable step, and
+    :class:`SingularJacobian` when the normal equations stay unsolvable.
     """
     frozen = set(frozen)
     bounds = dict(bounds or {})
@@ -199,13 +174,6 @@ def least_squares(
         jac = jacobian(u, r)
         if not np.all(np.isfinite(jac)):
             raise SingularJacobian("Jacobian contains non-finite entries")
-        if iterations == 1 and not _full_column_rank(jac):
-            u, iterations = _nelder_mead(lambda v: float((rv := evaluate(v)) @ rv), u)
-            r = evaluate(u)
-            cost = float(r @ r)
-            converged = True
-            message = "nelder-mead fallback (singular starting Jacobian)"
-            break
         grad = jac.T @ r
         normal = jac.T @ jac
         diag = np.diag(normal).copy()
@@ -233,9 +201,12 @@ def least_squares(
 
         step_norm = float(np.linalg.norm(step)) / max(1.0, float(np.linalg.norm(u)))
         rel_decrease = (cost - new_cost) / cost if cost > 0 else 0.0
+        # the noise floor ends a fit only on a step that lands on an exact fit,
+        # not on a descent from a distant start that is still passing through it
+        exact = new_cost <= noise_floor and new_cost < _COST_TOL * cost
         u, r, cost = u + step, new_r, new_cost
         lam = lam / 10.0 if lam > 1e-12 else 0.0
-        if rel_decrease < _COST_TOL or step_norm < _STEP_TOL or cost <= noise_floor:
+        if rel_decrease < _COST_TOL or step_norm < _STEP_TOL or exact:
             converged = True
             break
 
@@ -272,47 +243,3 @@ def least_squares(
         frozen_mask={name: (name in frozen) for name in params},
         message=message,
     )
-
-
-def _nelder_mead(cost_fn: Callable[[np.ndarray], float], u0: np.ndarray):
-    """The restarted Nelder-Mead minimum of ``cost_fn`` from ``u0``: (u, iterations)."""
-    n = u0.size
-    u, best, iterations = u0, cost_fn(u0), 0
-    for _ in range(5):
-        sim = np.tile(u, (n + 1, 1))
-        np.fill_diagonal(sim[1:], np.where(u != 0, 1.05 * u, 0.00025))
-        fsim = np.array([cost_fn(x) for x in sim])
-        for nit in range(1, 2000 * n + 1):
-            order = np.argsort(fsim)
-            sim, fsim = sim[order], fsim[order]
-            if nit == 2000 * n or (
-                np.abs(sim[1:] - sim[0]).max() <= 1e-10
-                and np.abs(fsim[1:] - fsim[0]).max() <= 1e-10
-            ):
-                break
-            # trial points centroid + t (centroid - worst) for t = 1, 2, 1/2, -1/2
-            centroid, worst = sim[:-1].sum(axis=0) / n, sim[-1]
-            x_r = 2.0 * centroid - worst
-            f_r = cost_fn(x_r)
-            if f_r < fsim[0]:
-                x_e = 3.0 * centroid - 2.0 * worst
-                f_e = cost_fn(x_e)
-                sim[-1], fsim[-1] = (x_e, f_e) if f_e < f_r else (x_r, f_r)
-            elif f_r < fsim[-2]:
-                sim[-1], fsim[-1] = x_r, f_r
-            else:
-                outside = f_r < fsim[-1]
-                x_c = 1.5 * centroid - 0.5 * worst if outside else 0.5 * (centroid + worst)
-                f_c = cost_fn(x_c)
-                if (f_c <= f_r) if outside else (f_c < fsim[-1]):
-                    sim[-1], fsim[-1] = x_c, f_c
-                else:  # shrink every vertex halfway towards the best
-                    sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                    fsim[1:] = [cost_fn(x) for x in sim[1:]]
-        iterations += nit
-        if not fsim[0] < best:
-            break
-        u, best, gain = sim[0], fsim[0], (best - fsim[0]) / best
-        if gain < 1e-10:
-            break
-    return u, iterations

@@ -57,6 +57,15 @@ def tree_bytes(root):
     return out
 
 
+@pytest.fixture(scope="module")
+def readme_data(tmp_path_factory):
+    """The dataset of the README's synth command."""
+    data = tmp_path_factory.mktemp("readme") / "data"
+    assert main(["synth", "--temps", "0.2,0.5", "--seed", "7", "--noise", "1.0",
+                 "--elastic-amp", "100", "--out", str(data), "--deterministic"]) == 0
+    return data
+
+
 class TestFitSusceptibilityCommand:
     def test_synthetic_fit(self, tmp_path):
         chi_csv = write_chi(tmp_path / "chi.csv")
@@ -118,6 +127,19 @@ class TestFitSusceptibilityCommand:
         fit = json.loads((out / "fit_report.json").read_text())["fit"]
         assert fit["converged"] and fit["parameters"]["c1"] <= 0.0
         assert fit["parameters"]["j_over_kb"] == pytest.approx(3.1, rel=1e-6)
+
+    @pytest.mark.parametrize("flag", [[], ["--fit-c1"], ["--impurity-curie"]],
+                             ids=["constant", "c1", "curie"])
+    @pytest.mark.parametrize("g0", ["1e5", "1e7", "1e9", "1e12"])
+    def test_absurd_g0_fits_the_readme_j(self, readme_data, tmp_path, g0, flag):
+        # each starting Jacobian is rank-deficient to rounding, and from 1e9 the
+        # descent passes the noise floor of the starting cost far from the minimum
+        out = tmp_path / "out"
+        argv = ["fit-susceptibility", str(readme_data / "chi.csv"), "--g0", g0, *flag]
+        assert main([*argv, "--out", str(out), "--deterministic"]) == 0
+        fit = json.loads((out / "fit_report.json").read_text())["fit"]
+        assert fit["converged"]
+        assert fit["parameters"]["j_over_kb"] == pytest.approx(3.1, rel=1e-3)
 
 
 class TestWitnessCommand:
@@ -435,15 +457,17 @@ class TestRuntimeWithoutScipy:
         assert any((tmp_path / "out").iterdir())
 
     def test_forced_fallback(self):
-        # the residual depends on a + b only, so the starting Jacobian has rank 1
+        # the residual depends on a + b only, so the starting Jacobian has rank 1;
+        # Levenberg-Marquardt fits it with no fallback and no scipy
         script = _WITHOUT_SCIPY.split("from chainqfi.cli")[0] + """
 import numpy as np
 from chainqfi.fitter import least_squares
 
 target = np.array([1.0, 2.0, 3.0])
 res = least_squares(lambda p: (p["a"] + p["b"]) * np.ones(3) - target, {"a": 0.0, "b": 0.0})
-assert res.message.startswith("nelder-mead fallback"), res.message
-assert abs(res.parameters["a"] + res.parameters["b"] - 2.0) < 1e-6
+assert res.converged, res
+assert "nelder-mead" not in res.message, res.message
+assert abs(res.parameters["a"] + res.parameters["b"] - 2.0) < 1e-10
 assert "scipy" not in sys.modules
 """
         src = str(Path(chainqfi.__file__).resolve().parents[1])
@@ -514,6 +538,27 @@ class TestInputFaults:
         assert code == 2
         assert err["error"] == "ParseError"
         assert manifest in err["message"] and field in err["message"]
+
+    @pytest.mark.parametrize(
+        "field, value, code, error, text",
+        [
+            ("q_window", [5.0, 6.0], 2, "WindowOutsideGrid",
+             "window [5.0, 6.0] covers 0 grid points"),
+            ("resolution_fwhm_meV", 1e-4, 2, "ElasticWindowMissing", "fewer than 3 bins"),
+            # the Bose factor overflows, so the reduced chi'' is infinite
+            ("temperature_K", 1e-5, 3, "NonPositiveValue",
+             "reduced chi'' at T = 1e-05 K is not finite"),
+        ],
+        ids=["q window", "resolution", "temperature"],
+    )
+    def test_reduction_fault_names_the_manifest(self, manifest, tmp_path, capsys,
+                                                field, value, code, error, text):
+        rewrite_manifest(manifest, **{field: value})
+        out = tmp_path / "o"
+        got, err = self.run(["qfi", "--data", manifest, "--out", str(out)], capsys)
+        assert (got, err["error"]) == (code, error)
+        assert err["message"].startswith(f"{manifest}: {text}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["fit-susceptibility"], ["witness", "--g", "2.1"]])
     def test_directory_as_chi_csv(self, tmp_path, capsys, command):
