@@ -96,7 +96,7 @@ def _reissue(caught) -> None:
 def cmd_fit_susceptibility(args) -> dict:
     curve = pipeline_io.read_susceptibility_csv(args.chi_csv)
     name_map = {"J": "j_over_kb", "g": "g_factor", "C0": "c0", "C1": "c1"}
-    start = {"j_over_kb": args.j0, "g_factor": args.g0, "c0": args.c00, "c1": args.c10}
+    start = {"j_over_kb": args.j0, "g_factor": args.g0, "c0": 0.0, "c1": 0.0}
     frozen = set() if args.fit_c1 else {"c1"}
     for frag in args.freeze or []:
         if "=" not in frag:
@@ -120,8 +120,15 @@ def cmd_fit_susceptibility(args) -> dict:
         )
         if not result.converged:
             raise FitDiverged(f"susceptibility fit did not converge: {result.message}")
-        fitted = ChainParameters(**result.parameters)
-        t_max_model, t_max_model_unc = suscept.find_tmax_model(fitted)
+        try:
+            fitted = ChainParameters(**result.parameters)
+            t_max_model, t_max_model_unc = suscept.find_tmax_model(fitted)
+        except ValueError as exc:
+            # the fit converged to parameters no chain model takes
+            p = result.parameters
+            raise FitDiverged(
+                f"fit reached J = {p['j_over_kb']:.3g} K, g = {p['g_factor']:.3g}: {exc}"
+            ) from exc
     except (ChainQfiError, ValueError) as exc:
         raise type(exc)(f"{args.chi_csv}: {exc}") from exc
     try:
@@ -351,7 +358,7 @@ def cmd_spinon(args) -> dict:
 
     converted = spinon.powder_to_1d(grid)
     j_mev = kelvin_to_mev(args.j_kelvin)
-    bounds = spinon.continuum_bounds(converted.q_axis, j_mev, lattice_c)
+    lower, upper = spinon.two_spinon_bounds(converted.q_axis, j_mev, lattice_c)
     zone_center_q = math.pi / lattice_c
     e_upper_max = float(spinon.two_spinon_bounds(zone_center_q, j_mev, lattice_c)[1])
     report = {
@@ -365,8 +372,8 @@ def cmd_spinon(args) -> dict:
     fig = Figure(title="spinon continuum", xlabel="Q (1/A)", ylabel="E (meV)")
     positive = converted.e_axis >= 0
     fig.cells(converted.q_axis, converted.e_axis[positive], converted.intensity[positive])
-    fig.line(bounds.q_axis, bounds.lower, color="#d62728", label="lower bound")
-    fig.line(bounds.q_axis, bounds.upper, color="#000000", label="upper bound")
+    fig.line(converted.q_axis, lower, color="#d62728", label="lower bound")
+    fig.line(converted.q_axis, upper, color="#000000", label="upper bound")
     fig.annotate(f"E_u(pi/c) = {e_upper_max:.4g} meV", zone_center_q, e_upper_max)
 
     return {"s1d.csv": converted, "spinon_report.json": report, "spinon_overlay.svg": fig}
@@ -462,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chi_csv", help="input chi.csv")
     p.add_argument("--j0", type=float, default=3.0, help="initial J/k_B (K)")
     p.add_argument("--g0", type=float, default=2.0, help="initial g factor")
-    p.add_argument("--c00", type=float, default=0.0, help="initial impurity constant")
-    p.add_argument("--c10", type=float, default=0.0, help="initial diamagnetic constant")
     p.add_argument(
         "--freeze",
         action="append",

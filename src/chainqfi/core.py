@@ -45,7 +45,6 @@ __all__ = [
     "SpectrumGrid",
     "EnergyCut",
     "kelvin_to_mev",
-    "mev_to_kelvin",
     "make_grid",
 ]
 
@@ -80,15 +79,6 @@ def kelvin_to_mev(t):
     if not np.all(np.isfinite(t)):
         raise ValueError("temperature must be finite")
     out = t * DEFAULT_UNITS.boltzmann_mev_per_kelvin
-    return float(out) if out.ndim == 0 else out
-
-
-def mev_to_kelvin(e):
-    """Convert an energy (meV) to the equivalent temperature (K)."""
-    e = np.asarray(e, dtype=float)
-    if not np.all(np.isfinite(e)):
-        raise ValueError("energy must be finite")
-    out = e / DEFAULT_UNITS.boltzmann_mev_per_kelvin
     return float(out) if out.ndim == 0 else out
 
 

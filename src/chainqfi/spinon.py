@@ -17,34 +17,16 @@ weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from . import quadrature
-from .core import SpectrumGrid, _freeze, _positive, _require_strictly_increasing
+from .core import SpectrumGrid, _positive, _require_strictly_increasing
 from .errors import GridTooCoarse
 
-__all__ = [
-    "ContinuumBounds",
-    "two_spinon_bounds",
-    "continuum_bounds",
-    "powder_to_1d",
-    "forward_powder_average",
-]
-
-
-@dataclass(frozen=True)
-class ContinuumBounds:
-    """Lower and upper two-spinon boundaries sampled on a momentum axis."""
-
-    q_axis: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "q_axis", "lower", "upper")
+__all__ = ["two_spinon_bounds", "powder_to_1d", "forward_powder_average"]
 
 
 def two_spinon_bounds(q_1d, j_mev: float, c: float):
@@ -63,11 +45,6 @@ def two_spinon_bounds(q_1d, j_mev: float, c: float):
     if qc.ndim == 0:
         return float(lower), float(upper)
     return lower, upper
-
-
-def continuum_bounds(q_axis, j_mev: float, c: float) -> ContinuumBounds:
-    lower, upper = two_spinon_bounds(np.asarray(q_axis, dtype=float), j_mev, c)
-    return ContinuumBounds(q_axis=np.asarray(q_axis, dtype=float), lower=lower, upper=upper)
 
 
 def _derivative_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

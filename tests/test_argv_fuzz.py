@@ -43,8 +43,7 @@ FLAGS = {
         "--chi-noise": ("0.01",), "--elastic-amp": ("100",), "--flat-bg": ("2",),
         "--temps": TEMPS,
     },
-    "fit-susceptibility": {"--j0": ("3.0",), "--g0": ("2.0",), "--c00": ("0.0",),
-                           "--c10": ("0.0",)},
+    "fit-susceptibility": {"--j0": ("3.0",), "--g0": ("2.0",)},
     "witness": {"--g": ("2.1",)},
     "qfi --model": {**QFI, "--temps": TEMPS},
     "qfi --data": QFI,

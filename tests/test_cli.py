@@ -141,6 +141,27 @@ class TestFitSusceptibilityCommand:
         assert fit["converged"]
         assert fit["parameters"]["j_over_kb"] == pytest.approx(3.1, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "start, cause",
+        [
+            (["--g0", "0.01"], "need at least 3 samples of equal length"),
+            (["--j0", "0.01", "--fit-c1"], "j_over_kb must be a finite number > 0, got 0.0"),
+        ],
+        ids=["g0 0.01", "j0 0.01 fit-c1"],
+    )
+    def test_fit_that_leaves_the_chain_exits_3(self, readme_data, tmp_path, capsys, start,
+                                              cause):
+        # the fit converges to J near 0 (1e-33 K, or 0.0), where the fitted
+        # parameters or the model's peak search fail: a numerical failure
+        chi_csv = str(readme_data / "chi.csv")
+        out = tmp_path / "out"
+        assert main(["fit-susceptibility", chi_csv, *start, "--out", str(out)]) == 3
+        err = single_error(capsys)
+        assert err["error"] == "FitDiverged"
+        assert err["message"].startswith(f"{chi_csv}: fit reached J = ")
+        assert err["message"].endswith(f": {cause}")
+        assert not out.exists()
+
 
 class TestWitnessCommand:
     def test_chain_model_crossing(self, tmp_path):
@@ -584,7 +605,7 @@ class TestInputFaults:
         inputs = json.loads((out / "spinon_report.json").read_text())["inputs"]
         assert [i["sha256"] for i in inputs] == [sha256_of(manifest), entry["sha256"]]
 
-    @pytest.mark.parametrize("flag", ["--c10=0.002", "--freeze=C1=0.002"])
+    @pytest.mark.parametrize("flag", ["--freeze=C1=0.002"])
     def test_positive_c1_is_refused(self, tmp_path, capsys, flag):
         chi_csv = write_chi(tmp_path / "chi.csv", n=30)
         code, err = self.run(
@@ -1167,10 +1188,6 @@ SCALAR_FAULTS = {
         lambda d: ["synth", "--temps", "0.2", "--c1", "nan"],
         "c1 must be a finite number <= 0, got nan",
     ),
-    "fit-susceptibility --c00 inf": (
-        lambda d: ["fit-susceptibility", d["chi_csv"], "--c00", "inf"],
-        "c0 must be a finite number, got inf",
-    ),
 }
 
 
@@ -1264,8 +1281,10 @@ def test_witness_refuses_j_kelvin(capsys):
         (["witness", "x.csv"], "the following arguments are required: --g"),
         (["qfi", "--temps", "0.5"], "one of the arguments --model --data is required"),
         (["synth", "--temps"], "argument --temps: expected one argument"),
+        (["fit-susceptibility", "chi.csv", "--c00", "0"], "unrecognized arguments: --c00 0"),
     ],
-    ids=["unknown flag", "bad float", "missing --g", "missing --model", "missing value"],
+    ids=["unknown flag", "bad float", "missing --g", "missing --model", "missing value",
+         "no start flag for C0"],
 )
 def test_argparse_error_is_one_json_line(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

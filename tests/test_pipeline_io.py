@@ -1094,8 +1094,8 @@ class TestStreamingIngest:
 
 
 def test_written_bytes_equal_the_hashed_text(tmp_path):
-    """synth hashes _spectrum_csv_text; the file writer must give its bytes,
-    signed zeros and the ends of the float range included."""
+    """_spectrum_csv_text is the reference text of a spectrum; the file writer
+    must give its bytes, signed zeros and the ends of the float range included."""
     edge = [-0.0, 5e-324, 1e308]
     grid = SpectrumGrid(
         q_axis=np.array([-0.0, 5e-324, 1e308]), e_axis=np.array([-1e308, -0.0, 5e-324, 1e308]),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chainqfi.cli import main
-from chainqfi.core import ChainParameters, EnergyCut, SpectrumGrid, mev_to_kelvin
+from chainqfi.core import ChainParameters, EnergyCut, SpectrumGrid
 from chainqfi.dynamics import StarykhParams, t0_feasible_interval
 from chainqfi.errors import AxisNotMonotone, NoInteriorMaximum, SingularJacobian
 from chainqfi.fitter import least_squares
@@ -226,13 +226,6 @@ def test_susceptibility_curve_refusals(chi, sigma, message):
     with pytest.raises(ValueError) as exc:
         SusceptibilityCurve(np.array([1.0, 2.0, 3.0]), np.array(chi), np.array(sigma))
     assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
-def test_mev_to_kelvin_refuses_a_nonfinite_energy(energy):
-    with pytest.raises(ValueError) as exc:
-        mev_to_kelvin(energy)
-    assert str(exc.value) == "energy must be finite"
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,7 @@ import pytest
 
 from chainqfi.core import SpectrumGrid
 from chainqfi.errors import GridTooCoarse
-from chainqfi.spinon import (
-    continuum_bounds,
-    forward_powder_average,
-    powder_to_1d,
-    two_spinon_bounds,
-)
+from chainqfi.spinon import forward_powder_average, powder_to_1d, two_spinon_bounds
 
 J_MEV = 0.26713732  # 3.1 K in meV
 C = 5.32
@@ -41,10 +36,6 @@ class TestBounds:
         l2, u2 = two_spinon_bounds(q + 2 * math.pi / C, J_MEV, C)
         np.testing.assert_allclose(lower, l2, atol=1e-12)
         np.testing.assert_allclose(upper, u2, atol=1e-12)
-
-    def test_container(self):
-        bounds = continuum_bounds([0.2, 0.4, 0.6], J_MEV, C)
-        assert bounds.lower.shape == (3,)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
