@@ -115,27 +115,32 @@ def cmd_fit_susceptibility(args) -> dict:
 
     initial = ChainParameters(**start)
     try:
+        t_max_data, t_max_data_unc = suscept.find_tmax(curve.temperatures, curve.chi)
+        j_from_data = suscept.j_from_tmax(t_max_data)
+    except (NoInteriorMaximum, ValueError):
+        t_max_data = t_max_data_unc = j_from_data = None
+    t_lo, t_hi = curve.temperatures[[0, -1]].tolist()
+    try:
         result = suscept.fit_susceptibility(
             curve, initial, frozen=frozen, impurity_curie=args.impurity_curie
         )
         if not result.converged:
             raise FitDiverged(f"susceptibility fit did not converge: {result.message}")
+        where = "fit reached J = {j_over_kb:.3g} K, g = {g_factor:.3g}".format(**result.parameters)
         try:
             fitted = ChainParameters(**result.parameters)
             t_max_model, t_max_model_unc = suscept.find_tmax_model(fitted)
         except ValueError as exc:
             # the fit converged to parameters no chain model takes
-            p = result.parameters
+            raise FitDiverged(f"{where}: {exc}") from exc
+        # data with a peak of their own need the model's peak among them
+        if t_max_data is not None and not t_lo <= t_max_model <= t_hi:
             raise FitDiverged(
-                f"fit reached J = {p['j_over_kb']:.3g} K, g = {p['g_factor']:.3g}: {exc}"
-            ) from exc
+                f"{where}: its chi(T) peaks at {t_max_model:.4g} K, outside the data's "
+                f"{t_lo:g} to {t_hi:g} K, where the data peak at {t_max_data:.4g} K"
+            )
     except (ChainQfiError, ValueError) as exc:
         raise type(exc)(f"{args.chi_csv}: {exc}") from exc
-    try:
-        t_max_data, t_max_data_unc = suscept.find_tmax(curve.temperatures, curve.chi)
-        j_from_data = suscept.j_from_tmax(t_max_data)
-    except (NoInteriorMaximum, ValueError):
-        t_max_data = t_max_data_unc = j_from_data = None
 
     report = {
         "fit": _as_json(result),
@@ -299,7 +304,7 @@ def cmd_qfi(args) -> dict:
         for k, ((t, source), chi_curve) in enumerate(zip(sources, curves)):
             color = palette[k % len(palette)]
             area = qfi.qfi_integrand(grid, t, chi_curve)
-            chi_fig.fill_under(grid, area, color=color, opacity=0.25)
+            chi_fig.fill_under(grid, area, color=color)
             chi_fig.line(grid, chi_curve, color=color, label=f"T = {t:g} K")
             if args.data:
                 mask = (source.e_axis >= 0) & (source.e_axis <= omega_max)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "SpectrumGrid",
     "EnergyCut",
     "kelvin_to_mev",
-    "make_grid",
 ]
 
 
@@ -187,20 +186,19 @@ class ChainParameters:
     positive for antiferromagnetic coupling. ``c0`` is a lumped impurity
     constant and ``c1`` the diamagnetic correction, both in emu/mole.
     ``lattice_c`` is the chain-axis lattice parameter in Angstrom, optional
-    because susceptibility work does not need it.
+    because susceptibility work does not need it. ``spin`` is 1/2: a field
+    that reports record, which no constructor takes.
     """
 
     j_over_kb: float
     g_factor: float
-    spin: float = 0.5
+    spin: float = field(default=0.5, init=False)
     c0: float = 0.0
     c1: float = 0.0
     lattice_c: float | None = None
 
     def __post_init__(self):
         _require_positive(self, "j_over_kb", "g_factor")
-        if self.spin != 0.5:
-            raise ValueError("only spin 1/2 is supported")
         if not _is_number(self.c0):
             raise ValueError(f"c0 must be a finite number, got {self.c0}")
         if not (_is_number(self.c1) and self.c1 <= 0):
@@ -225,9 +223,6 @@ class SpectrumGrid:
 
     def __post_init__(self):
         _check_record(self, ("e_axis", "q_axis"), "intensity")
-
-
-make_grid = SpectrumGrid
 
 
 @dataclass(frozen=True)

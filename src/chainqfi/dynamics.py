@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fitter, specfun
-from .core import DEFAULT_UNITS, EnergyCut, _require_positive, _temperature, _temperatures
+from .core import EnergyCut, _require_positive, _temperature, _temperatures, kelvin_to_mev
 from .errors import BoseFactorPole, CutoffDomainError
 
 __all__ = [
@@ -137,14 +137,13 @@ def sqw_on_axis(e: np.ndarray, t: float, params: StarykhParams) -> np.ndarray:
         # central difference; chi'' is odd, so (chi(h) - chi(-h)) / 2h = chi(h) / h
         h = 1e-6
         slope = chi_imag_starykh(h, t, params) / h
-        out[~nonzero] = DEFAULT_UNITS.boltzmann_mev_per_kelvin * t * slope
+        out[~nonzero] = kelvin_to_mev(t) * slope
     return out
 
 
 def detailed_balance(omega, t: float) -> np.ndarray:
     """The fluctuation-dissipation factor 1 - exp(-omega/k_B T) = chi''/S."""
-    kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
-    return -np.expm1(-np.asarray(omega, dtype=float) / (kb * t))
+    return -np.expm1(-np.asarray(omega, dtype=float) / kelvin_to_mev(t))
 
 
 def chi_imag_from_sqw(s_value, omega, t: float):

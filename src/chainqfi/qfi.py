@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .core import DEFAULT_UNITS, EnergyCut, _positive, _temperature, _temperatures
+from .core import EnergyCut, _positive, _temperature, _temperatures, kelvin_to_mev
 from .errors import GridTooCoarse, NegativeChiImagWarning, NonPositiveValue, TruncationWarning
 
 __all__ = ["QfiPoint", "ScalingFit", "qfi_integrand", "compute_qfi", "fit_scaling"]
@@ -59,8 +59,8 @@ class ScalingFit:
 def qfi_integrand(omega, t: float, chi_imag):
     """tanh(omega / 2 k_B T) * chi''; omega in meV, T in K."""
     omega_arr = np.asarray(omega, dtype=float)
-    kb = DEFAULT_UNITS.boltzmann_mev_per_kelvin
-    out = np.tanh(omega_arr / (2.0 * kb * _temperature(t))) * np.asarray(chi_imag, dtype=float)
+    kt = kelvin_to_mev(_temperature(t))
+    out = np.tanh(omega_arr / (2.0 * kt)) * np.asarray(chi_imag, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -183,17 +183,17 @@ class Figure:
                 extent[:] = [min(extent[0], lo), max(extent[1], hi)] if extent else [lo, hi]
         return x, y
 
-    def line(self, x, y, color="#d62728", dash=None, label=None):
+    def line(self, x, y, color="#d62728", label=None):
         x, y = self._track(x, y)
-        self._elements.append(("line", x, y, color, 1.5, dash, label))
+        self._elements.append(("line", x, y, color, 1.5, label))
 
     def points(self, x, y, color="#000000", radius=2.5, label=None):
         x, y = self._track(x, y)
         self._elements.append(("points", x, y, color, radius, label))
 
-    def fill_under(self, x, y, color="#17becf", opacity=0.45, label=None):
+    def fill_under(self, x, y, color="#17becf"):
         x, y = self._track(x, y)
-        self._elements.append(("fill", x, y, color, opacity, label))
+        self._elements.append(("fill", x, y, color, 0.25, None))
 
     def vline(self, x, color="#444444", label=None):
         _require_placeable("vline x", x, self.xlog)
@@ -203,10 +203,10 @@ class Figure:
         _require_placeable("hline y", y, self.ylog)
         self._elements.append(("hline", float(y), "#444444", "4 3"))
 
-    def cells(self, x_centers, y_centers, values, label=None):
+    def cells(self, x_centers, y_centers, values):
         """Filled-rectangle map; values normalized over their finite range.
         Each axis needs two centres, so that a cell has a width, and each
-        centre must be finite, and > 0 on a log axis."""
+        centre must be finite, and > 0 on a log axis; no legend entry."""
         x = np.asarray(x_centers, dtype=float)
         y = np.asarray(y_centers, dtype=float)
         for axis, centers, log in (("x", x, self.xlog), ("y", y, self.ylog)):
@@ -217,7 +217,7 @@ class Figure:
             _require_placeable(f"{axis} centres", centers, log)
         self._track(x, np.full_like(x, y[0]))
         self._track(np.full_like(y, x[0]), y)
-        self._elements.append(("cells", x, y, np.asarray(values, dtype=float), label))
+        self._elements.append(("cells", x, y, np.asarray(values, dtype=float)))
 
     def annotate(self, text, x, y):
         _require_placeable("annotate x", x, self.xlog)
@@ -282,10 +282,9 @@ class Figure:
             return []
         pts = list(map(",".join, zip(*pxy(x, y))))
         if kind == "line":
-            dash_attr = f' stroke-dasharray="{el[5]}"' if el[5] else ""
             return [
                 f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
-                f'stroke-width="{style}"{dash_attr}/>'
+                f'stroke-width="{style}"/>'
             ]
         base = min(y[y > 0], default=1e-30) if self.ylog else 0.0
         (x_first, x_last), (y_base, _) = pxy(x[[0, -1]], [base, base])
@@ -328,10 +327,7 @@ class Figure:
         for el in self._elements:
             kind = el[0]
             if kind == "cells":
-                _, xc, yc, vals, label = el
-                out += self._cell_rects(px, py, xc, yc, vals)
-                if label:
-                    legend_items.append((label, "#808080"))
+                out += self._cell_rects(px, py, *el[1:])
             elif kind in ("fill", "line", "points"):
                 out += self._marks(el, pxy)
                 if el[-1]:

@@ -11,9 +11,9 @@ from chainqfi.core import (
     DEFAULT_UNITS,
     ChainParameters,
     EnergyCut,
+    SpectrumGrid,
     _is_positive,
     kelvin_to_mev,
-    make_grid,
 )
 from chainqfi.dynamics import (
     StarykhParams,
@@ -67,7 +67,6 @@ class TestChainParameters:
         [
             {"j_over_kb": -1.0, "g_factor": 2.0},
             {"j_over_kb": 3.1, "g_factor": 0.0},
-            {"j_over_kb": 3.1, "g_factor": 2.0, "spin": 1.0},
             {"j_over_kb": 3.1, "g_factor": 2.0, "c1": 1e-5},
             {"j_over_kb": 3.1, "g_factor": 2.0, "lattice_c": -2.0},
         ],
@@ -79,39 +78,39 @@ class TestChainParameters:
 
 class TestSpectrumGrid:
     def test_valid_2x2(self):
-        g = make_grid([0.4, 0.6], [0.1, 0.2], [[1.0, 2.0], [3.0, 4.0]],
-                      [[0.1, 0.1], [0.1, 0.1]], 1.5)
+        g = SpectrumGrid([0.4, 0.6], [0.1, 0.2], [[1.0, 2.0], [3.0, 4.0]],
+                         [[0.1, 0.1], [0.1, 0.1]], 1.5)
         assert g.intensity.shape == (2, 2)
         assert g.temperature == 1.5
 
     def test_degenerate_axis(self):
         with pytest.raises(AxisNotMonotone):
-            make_grid([0.5, 0.5], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 1.0)
+            SpectrumGrid([0.5, 0.5], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 1.0)
 
     def test_decreasing_axis(self):
         with pytest.raises(AxisNotMonotone):
-            make_grid([0.6, 0.4], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 1.0)
+            SpectrumGrid([0.6, 0.4], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            make_grid([0.4, 0.6], [0.1, 0.2], np.ones((2, 3)), np.zeros((2, 3)), 1.0)
+            SpectrumGrid([0.4, 0.6], [0.1, 0.2], np.ones((2, 3)), np.zeros((2, 3)), 1.0)
 
     def test_nonpositive_temperature(self):
         with pytest.raises(NonPositiveTemperature):
-            make_grid([0.4, 0.6], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 0.0)
+            SpectrumGrid([0.4, 0.6], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 0.0)
 
     def test_nan_intensity_rejected(self):
         bad = np.ones((2, 2))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            make_grid([0.4, 0.6], [0.1, 0.2], bad, np.zeros((2, 2)), 1.0)
+            SpectrumGrid([0.4, 0.6], [0.1, 0.2], bad, np.zeros((2, 2)), 1.0)
 
     def test_negative_errors_rejected(self):
         with pytest.raises(ValueError):
-            make_grid([0.4, 0.6], [0.1, 0.2], np.ones((2, 2)), -np.ones((2, 2)), 1.0)
+            SpectrumGrid([0.4, 0.6], [0.1, 0.2], np.ones((2, 2)), -np.ones((2, 2)), 1.0)
 
     def test_arrays_read_only(self):
-        g = make_grid([0.4, 0.6], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 1.0)
+        g = SpectrumGrid([0.4, 0.6], [0.1, 0.2], np.ones((2, 2)), np.zeros((2, 2)), 1.0)
         with pytest.raises(ValueError):
             g.intensity[0, 0] = 5.0
 
@@ -169,7 +168,7 @@ TEMPERATURE_ENTRIES = {
     "qfi_integrand": lambda t: qfi_integrand(0.1, t, 1.0),
     "compute_qfi with a closure": lambda t: compute_qfi(lambda w: w, t, omega_max=1.0),
     "EnergyCut": lambda t: EnergyCut([0.1, 0.2], [1.0, 2.0], [0.0, 0.0], t),
-    "SpectrumGrid": lambda t: make_grid([0.1, 0.2], [0.3], [[1.0, 2.0]], [[0.0, 0.0]], t),
+    "SpectrumGrid": lambda t: SpectrumGrid([0.1, 0.2], [0.3], [[1.0, 2.0]], [[0.0, 0.0]], t),
     "chi_bonner_fisher": lambda t: suscept.chi_bonner_fisher([0.5, t], CHAIN),
     "chi_full": lambda t: suscept.chi_full(t, CHAIN),
     "SusceptibilityCurve": lambda t: suscept.SusceptibilityCurve([t], [1e-2], [0.0]),

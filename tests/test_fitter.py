@@ -165,7 +165,7 @@ class TestBoundsAndFallback:
         assert res.converged
         assert res.parameters["c"] == pytest.approx(-1e-3, rel=1e-10)
 
-    def test_nelder_mead_fallback_on_singular_start(self):
+    def test_rank_deficient_start_is_fit_by_damping(self):
         # residuals depend only on a + b: Jacobian rank 1 at every point. There
         # is no fallback: damped Levenberg-Marquardt fits a + b to rounding
         target = np.array([1.0, 2.0, 3.0])

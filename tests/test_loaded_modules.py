@@ -1,8 +1,9 @@
 """What the commands leave out of their process: each runs in a fresh
 interpreter and must finish without OpenSSL's ``_hashlib`` (nor ``hashlib``,
 which loads it), without ``numpy.random`` (nor ``secrets``, whose ``hmac``
-loads ``_hashlib``) and without ``numpy.ma``. OpenSSL's libcrypto added
-3.35 MB to a command's peak RSS and ``numpy.ma`` about 0.6 MB."""
+loads ``_hashlib``), without ``numpy.ma`` and without ``scipy``. OpenSSL's
+libcrypto added 3.35 MB to a command's peak RSS and ``numpy.ma`` about
+0.6 MB; scipy is a test-only dependency."""
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import chainqfi
 from chainqfi.cli import MODEL_TEMPS, main
 
 # modules no command may load
-ABSENT = ("_hashlib", "hashlib", "numpy.ma", "numpy.random", "secrets")
+ABSENT = ("_hashlib", "hashlib", "numpy.ma", "numpy.random", "scipy", "secrets")
 
 _RUN = """
 import json, sys

@@ -105,7 +105,7 @@ def n_cell_rects(svg: bytes) -> int:
 
 def cell_map(x, y, values, **figure_kw):
     fig = Figure(title="map", xlabel="x", ylabel="y", **figure_kw)
-    fig.cells(x, y, values, label="S(Q,E)")
+    fig.cells(x, y, values)
     return fig
 
 
@@ -330,15 +330,14 @@ def reference_marks(self, el, pxy):
                 f'fill-opacity="{opacity}" stroke="none"/>'
             )
     elif kind == "line":
-        _, x, y, color, width, dash, label = el
+        _, x, y, color, width, label = el
         if x.size >= 2:
             pts = " ".join(
                 f"{_fmt(px(xi))},{_fmt(py(yi))}" for xi, yi in zip(x, y)
             )
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
             out.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{dash_attr}/>'
+                f'stroke-width="{width}"/>'
             )
     elif kind == "points":
         _, x, y, color, radius, label = el
@@ -364,8 +363,8 @@ def assert_same_marks(fig, tmp_path, monkeypatch):
 def drawn(x, y, **figure_kw):
     """A figure with one line, one fill and one set of markers on (x, y)."""
     fig = Figure(title="marks", xlabel="x", ylabel="y", **figure_kw)
-    fig.fill_under(x, y, label="area")
-    fig.line(x, y, dash="5 3", label="curve")
+    fig.fill_under(x, y)
+    fig.line(x, y, label="curve")
     fig.points(x, y, radius=3.0, label="data")
     return fig
 
@@ -376,7 +375,7 @@ def append_raw(fig, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     fig._elements += [
         ("fill", x, y, "#17becf", 0.45, None),
-        ("line", x, y, "#d62728", 1.5, None, "raw"),
+        ("line", x, y, "#d62728", 1.5, "raw"),
         ("points", x, y, "#000000", 2.5, None),
     ]
     return fig
@@ -432,7 +431,7 @@ def test_log_axis_with_a_value_at_or_below_zero_raises(axes, tmp_path, monkeypat
     assert assert_same_marks(fig, tmp_path, monkeypatch) == "ValueError"
     # a one-point line or fill is never mapped; its marker is
     fig = drawn(np.linspace(1.0, 4.0, 5), np.linspace(2.0, 8.0, 5), **AXES[axes])
-    fig._elements += [("line", np.array([0.0]), np.array([-1.0]), "#000000", 1.5, None, None),
+    fig._elements += [("line", np.array([0.0]), np.array([-1.0]), "#000000", 1.5, None),
                       ("fill", np.array([0.0]), np.array([-1.0]), "#000000", 0.5, None)]
     assert isinstance(assert_same_marks(fig, tmp_path, monkeypatch), bytes)
     fig._elements.append(("points", np.array([0.0]), np.array([-1.0]), "#000000", 2.5, None))
