@@ -238,7 +238,10 @@ def cmd_qfi(args) -> dict:
             )
         policy = _policy_from_flag(args.policy) if args.policy else policies.pop()
         params = _model_params(args, policy)
-        fit_result = dynamics.fit_starykh(cuts, params)
+        try:
+            fit_result = dynamics.fit_starykh(cuts, params)
+        except (ChainQfiError, ValueError) as exc:
+            raise type(exc)(f"{', '.join(args.data)}: {exc}") from exc
         params = replace(
             params,
             a_starykh=fit_result.parameters["a_starykh"],

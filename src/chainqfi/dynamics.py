@@ -143,12 +143,12 @@ def sqw_on_axis(e: np.ndarray, t: float, params: StarykhParams) -> np.ndarray:
 
 def detailed_balance(omega, t: float) -> np.ndarray:
     """The fluctuation-dissipation factor 1 - exp(-omega/k_B T) = chi''/S."""
-    return -np.expm1(-np.asarray(omega, dtype=float) / kelvin_to_mev(t))
+    return -np.expm1(-np.asarray(omega, dtype=float) / kelvin_to_mev(_temperature(t)))
 
 
 def chi_imag_from_sqw(s_value, omega, t: float):
     """Fluctuation-dissipation conversion chi'' = (1 - exp(-omega/k_B T)) S."""
-    out = detailed_balance(omega, _temperature(t)) * np.asarray(s_value, dtype=float)
+    out = detailed_balance(omega, t) * np.asarray(s_value, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

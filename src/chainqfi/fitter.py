@@ -8,10 +8,11 @@ one-sided) so the optimizer never sees a constraint boundary.
 
 A Gauss-Newton step (no damping) is attempted first whenever the previous
 step succeeded, so linear problems converge in one step; damping kicks in
-only when an undamped step fails. Accepted steps never increase the cost.
-A rank-deficient Jacobian needs no other method: any damping above zero
-makes the normal equations solvable (Moré, Lecture Notes in Math. 630
-(1978)).
+only when an undamped step fails. One rule rejects a trial step: its cost
+must be no greater than the current cost, and a point whose parameters
+are refused has an infinite cost. A rank-deficient Jacobian needs no other
+method: any damping above zero makes the normal equations solvable (Moré,
+Lecture Notes in Math. 630 (1978)).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import FitDiverged, SingularJacobian
+from .errors import ChainQfiError, FitDiverged, SingularJacobian
 
 __all__ = ["FitResult", "least_squares", "sigma_weights"]
 
@@ -105,9 +106,15 @@ def least_squares(
     ``_MAX_ITERATIONS`` (500; result returned with ``converged=False``).
     Every start, a rank-deficient one included, runs Levenberg-Marquardt.
 
+    A trial is accepted only when its cost is no greater than the current
+    cost. After the start, a point that the bound transform (``OverflowError``)
+    or ``residual_fn`` (``ValueError``, ``ChainQfiError``) refuses has an
+    infinite cost, and numpy's floating-point warnings are silenced.
+
     Raises :class:`FitDiverged` when the starting cost is not finite or the
     damping parameter overflows without finding an acceptable step, and
-    :class:`SingularJacobian` when the normal equations stay unsolvable.
+    :class:`SingularJacobian` when the normal equations stay unsolvable or
+    a Jacobian column is refused or not finite.
     """
     frozen = set(frozen)
     bounds = dict(bounds or {})
@@ -130,20 +137,16 @@ def least_squares(
             params[name] = to_p(ui)
         return params
 
-    def evaluate(u: np.ndarray) -> np.ndarray:
+    def evaluate(u: np.ndarray, refused=(OverflowError, ValueError, ChainQfiError)):
+        """The residual at ``u``, infinite where ``refused`` is raised."""
         try:
-            params = unpack(u)
-        except OverflowError:
-            # exp overflows in the bound transform: a point with no parameter
-            # values, rejected as a trial whose residual is not finite
+            return np.asarray(residual_fn(unpack(u)), dtype=float).ravel()
+        except refused:
             return np.array([math.inf])
-        r = np.asarray(residual_fn(params), dtype=float)
-        if r.ndim != 1:
-            r = r.ravel()
-        return r
 
     u = np.array(u0)
-    r = evaluate(u)
+    # the model's refusal of the start reaches the caller
+    r = evaluate(u, OverflowError)
     m, n_free = r.size, len(free_names)
     if m < n_free:
         raise ValueError(f"{m} residuals cannot constrain {n_free} free parameters")
@@ -162,58 +165,54 @@ def least_squares(
             up = u0.copy()
             up[k] += h
             jac[:, k] = (evaluate(up) - r0) / h
+        if not np.all(np.isfinite(jac)):
+            raise SingularJacobian("Jacobian contains non-finite entries")
         return jac
 
     lam = 0.0  # try the undamped Gauss-Newton step first
     iterations = 0
     converged = False
-    message = ""
+    # a rejected trial may overflow or divide by zero on its way to an infinite cost
+    with np.errstate(all="ignore"):
+        while iterations < _MAX_ITERATIONS:
+            iterations += 1
+            jac = jacobian(u, r)
+            grad = jac.T @ r
+            normal = jac.T @ jac
+            diag = np.diag(normal).copy()
+            diag[diag == 0.0] = 1.0
 
-    while iterations < _MAX_ITERATIONS:
-        iterations += 1
-        jac = jacobian(u, r)
-        if not np.all(np.isfinite(jac)):
-            raise SingularJacobian("Jacobian contains non-finite entries")
-        grad = jac.T @ r
-        normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        diag[diag == 0.0] = 1.0
-
-        while True:
-            try:
-                delta = np.linalg.solve(normal + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
-                trial_r = evaluate(u + delta)
-                if np.all(np.isfinite(trial_r)):
+            while True:
+                try:
+                    delta = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+                except np.linalg.LinAlgError:
+                    delta = None
+                else:
+                    trial_r = evaluate(u + delta)
                     trial_cost = float(trial_r @ trial_r)
                     if trial_cost <= cost:
-                        step, new_r, new_cost = delta, trial_r, trial_cost
                         break
-            lam = 10.0 * lam if lam > 0 else 1e-4
-            if lam > _LAMBDA_MAX:
-                if delta is None:
-                    raise SingularJacobian(
-                        "normal equations remained singular at maximal damping"
-                    )
-                raise FitDiverged("no acceptable step below the damping limit")
+                lam = 10.0 * lam if lam > 0 else 1e-4
+                if lam > _LAMBDA_MAX:
+                    if delta is None:
+                        raise SingularJacobian(
+                            "normal equations remained singular at maximal damping"
+                        )
+                    raise FitDiverged("no acceptable step below the damping limit")
 
-        step_norm = float(np.linalg.norm(step)) / max(1.0, float(np.linalg.norm(u)))
-        rel_decrease = (cost - new_cost) / cost if cost > 0 else 0.0
-        # the noise floor ends a fit only on a step that lands on an exact fit,
-        # not on a descent from a distant start that is still passing through it
-        exact = new_cost <= noise_floor and new_cost < _COST_TOL * cost
-        u, r, cost = u + step, new_r, new_cost
-        lam = lam / 10.0 if lam > 1e-12 else 0.0
-        if rel_decrease < _COST_TOL or step_norm < _STEP_TOL or exact:
-            converged = True
-            break
+            step_norm = float(np.linalg.norm(delta)) / max(1.0, float(np.linalg.norm(u)))
+            rel_decrease = (cost - trial_cost) / cost if cost > 0 else 0.0
+            # the noise floor ends a fit only on a step that lands on an exact fit,
+            # not on a descent from a distant start that is still passing through it
+            exact = trial_cost <= noise_floor and trial_cost < _COST_TOL * cost
+            u, r, cost = u + delta, trial_r, trial_cost
+            lam = lam / 10.0 if lam > 1e-12 else 0.0
+            if rel_decrease < _COST_TOL or step_norm < _STEP_TOL or exact:
+                converged = True
+                break
+        jac = jacobian(u, r)
 
-    if not converged:
-        message = "maximum iterations reached"
-
-    jac = jacobian(u, r)
+    message = "" if converged else "maximum iterations reached"
     scale = np.array([slope(uk) for slope, uk in zip(slopes, u)])
     dof = m - n_free
     sigma2 = cost / dof if dof > 0 else 0.0

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr
 from datetime import datetime
 from pathlib import Path
 
@@ -984,6 +986,49 @@ class TestQfiDataCuts:
         assert len(first) == len(second) > 0
         assert [cx for cx, _ in first] == [cx for cx, _ in second]
         assert [cy for _, cy in first] != [cy for _, cy in second]
+
+
+# line-shape fit starts on the README manifests; the small amplitudes send
+# trial steps to T0 at its strict-policy bound, where the model refuses
+# the cutoff, and through overflowing residuals
+QFI_DATA_STARTS = [["--a-starykh", a, "--t0-kelvin", t0]
+                   for a in ("1e-12", "1e-8", "1e-6", "1e-4", "1e-2", "1e2")
+                   for t0 in ("0.9", "1.5", "3", "10", "100")]
+
+
+def test_every_qfi_data_start_fits_or_exits_3(readme_data, tmp_path):
+    """From each of 30 starts the README line-shape fit reaches the default
+    start's A and T0 within 1e-6, with nothing on stderr, or exits 3 with a
+    message that starts with both manifests. None exits 4."""
+    manifests = [str(readme_data / name) for name in ("manifest_T0p2.json", "manifest_T0p5.json")]
+
+    def run(name, flags):
+        out, err = tmp_path / name, io.StringIO()
+        with redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["qfi", "--data", *manifests, "--out", str(out), "--deterministic",
+                         *flags])
+        stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        if code != 0:
+            return code, stderr, None
+        return code, stderr, json.loads((out / "qfi_report.json").read_text())["starykh_fit"]
+
+    code, stderr, default = run("default", [])
+    assert (code, stderr) == (0, "")
+    codes, wrong = [], []
+    for k, flags in enumerate(QFI_DATA_STARTS):
+        code, stderr, fit = run(str(k), flags)
+        codes.append(code)
+        if code == 0:
+            ok = stderr == "" and all(
+                abs(fit["parameters"][p] / default["parameters"][p] - 1.0) <= 1e-6
+                for p in ("a_starykh", "t0_kelvin"))
+        else:
+            ok = code == 3 and json.loads(stderr)["message"].startswith(", ".join(manifests) + ": ")
+        if not ok:
+            wrong.append((flags, code, stderr))
+    assert wrong == []
+    assert (codes.count(0), codes.count(3)) == (24, 6)
 
 
 def run_fresh(*args) -> subprocess.CompletedProcess:

@@ -19,6 +19,7 @@ from chainqfi.dynamics import (
     StarykhParams,
     chi_imag_from_sqw,
     chi_imag_starykh,
+    detailed_balance,
     scaling_dimension,
     sqw_starykh,
     t0_feasible_interval,
@@ -164,6 +165,7 @@ TEMPERATURE_ENTRIES = {
     "sqw_starykh": lambda t: sqw_starykh(0.1, t, STARYKH),
     "scaling_dimension": lambda t: scaling_dimension(t, STARYKH),
     "chi_imag_from_sqw": lambda t: chi_imag_from_sqw(1.0, 0.1, t),
+    "detailed_balance": lambda t: detailed_balance(0.1, t),
     "gamma_ratio_im": lambda t: gamma_ratio_im(0.2, 0.1, t),
     "qfi_integrand": lambda t: qfi_integrand(0.1, t, 1.0),
     "compute_qfi with a closure": lambda t: compute_qfi(lambda w: w, t, omega_max=1.0),

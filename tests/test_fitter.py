@@ -1,8 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from chainqfi import fitter
-from chainqfi.errors import FitDiverged
+from chainqfi.errors import CutoffDomainError, FitDiverged, SingularJacobian
 from chainqfi.fitter import least_squares
 
 X = np.linspace(0.0, 5.0, 21)
@@ -164,6 +167,55 @@ class TestBoundsAndFallback:
         res = least_squares(residuals, {"c": -1e-12}, bounds={"c": (None, 0.0)})
         assert res.converged
         assert res.parameters["c"] == pytest.approx(-1e-3, rel=1e-10)
+
+    @pytest.mark.parametrize("refusal", [ValueError, CutoffDomainError])
+    def test_step_the_model_refuses_is_rejected(self, refusal):
+        # the model takes a <= 2.5 only; the undamped step from a = 0 lands on a = 4
+        def residuals(p):
+            if p["a"] > 2.5:
+                raise refusal(f"a = {p['a']} lies outside the model's domain")
+            return np.array([math.exp(p["a"]) - 5.0])
+
+        res = least_squares(residuals, {"a": 0.0})
+        assert res.converged
+        assert res.parameters["a"] == pytest.approx(math.log(5.0), rel=1e-10)
+
+    def test_overflowing_trials_are_rejected_without_a_warning(self):
+        # from a = -6 the undamped step on exp(a) - 2 lands near a = 800, and
+        # damped ones on points whose exp or cost overflows
+        def residuals(p):
+            return np.array([np.exp(p["a"]) - 2.0])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = least_squares(residuals, {"a": -6.0})
+        assert [str(w.message) for w in caught] == []
+        assert res.converged
+        assert res.parameters["a"] == pytest.approx(math.log(2.0), rel=1e-10)
+
+    def test_the_start_keeps_its_refusal_and_warnings(self):
+        def residuals(p):
+            return np.array([np.exp(p["a"]) - 2.0])
+
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="residual is not finite at the initial point"):
+            least_squares(residuals, {"a": 1e3})
+
+        def refusing(p):
+            raise CutoffDomainError("the start lies outside the model's domain")
+
+        with pytest.raises(CutoffDomainError, match="the start lies outside"):
+            least_squares(refusing, {"a": 1.0})
+
+    def test_refused_jacobian_column_is_singular(self):
+        # the model takes the start only: the first forward difference is refused
+        def cliff(p):
+            if p["a"] != 2.0:
+                raise ValueError("outside the model's domain")
+            return np.array([p["a"] - 0.5])
+
+        with pytest.raises(SingularJacobian, match="^Jacobian contains non-finite entries$"):
+            least_squares(cliff, {"a": 2.0})
 
     def test_rank_deficient_start_is_fit_by_damping(self):
         # residuals depend only on a + b: Jacobian rank 1 at every point. There
